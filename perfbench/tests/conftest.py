@@ -1,0 +1,12 @@
+"""Make the benchmark's modules importable and the program available."""
+
+import sys
+from pathlib import Path
+
+BENCH = Path(__file__).resolve().parents[1]
+if str(BENCH) not in sys.path:
+    sys.path.insert(0, str(BENCH))
+
+from common import use_program  # noqa: E402
+
+use_program()
