@@ -2,7 +2,8 @@
 
 :class:`ClusterCoordinator` speaks exactly the protocol a single
 :class:`~repro.service.BurstingFlowService` speaks — NDJSON over TCP and
-HTTP/1.1 sniffed on one port — so every existing client, the oracle
+HTTP/1.1 sniffed on one port, through the same front end
+(:mod:`repro.service.frontend`) — so every existing client, the oracle
 backend and ``netcat`` work against a cluster unchanged.  Behind the
 port it adds the replicated serving tier:
 
@@ -49,7 +50,6 @@ port it adds the replicated serving tier:
 from __future__ import annotations
 
 import asyncio
-import json
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -68,6 +68,7 @@ from repro.cluster.replication import (
 from repro.cluster.router import ConsistentHashRouter
 from repro.exceptions import ReproError
 from repro.service.client import RetryPolicy
+from repro.service.frontend import listen
 from repro.service.metrics import aggregate_snapshots
 from repro.service.protocol import (
     ERROR_INTERNAL,
@@ -108,11 +109,6 @@ from repro.mining.pipeline import flag_entries, persist_entries
 from repro.mining.prefilter import NodeIntensity, rank_candidates_for_network
 from repro.mining.stats import modified_z_score
 from repro.mining.store import PatternStore
-from repro.service.server import (
-    _http_respond,
-    _http_status,
-    _patterns_message_from_target,
-)
 from repro.store.log import AppendLog
 from repro.store.snapshot import SnapshotStore
 
@@ -389,7 +385,7 @@ class ClusterCoordinator:
                 f"{self.committed_epoch}"
             )
         self.health.start()
-        self._server = await asyncio.start_server(self._on_connection, host, port)
+        self._server = await listen(self, host, port)
         bound = self._server.sockets[0].getsockname()
         return bound[0], bound[1]
 
@@ -1240,6 +1236,14 @@ class ClusterCoordinator:
             "aggregate": aggregate_snapshots(per_replica),
         }
 
+    #: The front end's ``GET /metrics`` body.
+    metrics_payload = snapshot
+
+    def drain_payload(self) -> dict[str, Any]:
+        """``POST /drain``: enter drain mode; the body acknowledges it."""
+        self._draining = True
+        return {"draining": True, "inflight": self._inflight}
+
     def health_payload(self) -> dict[str, Any]:
         """The ``/healthz`` body: live set, committed epoch, drain state."""
         live = self._live_ids()
@@ -1252,90 +1256,3 @@ class ClusterCoordinator:
                 for replica_id, state in sorted(self._replicas.items())
             },
         }
-
-    # ------------------------------------------------------------------
-    # TCP / HTTP front end (same sniffing as the single service)
-    # ------------------------------------------------------------------
-    async def _on_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        try:
-            first = await reader.readline()
-            if not first:
-                return
-            head = first.split(b" ", 1)[0]
-            if head in (b"GET", b"POST", b"HEAD", b"PUT", b"DELETE"):
-                await self._serve_http(first, reader, writer)
-                return
-            line = first
-            while line:
-                if line.strip():
-                    writer.write(await self.handle_raw(line))
-                    await writer.drain()
-                line = await reader.readline()
-        except (ConnectionResetError, BrokenPipeError):
-            pass
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError):
-                pass
-            except asyncio.CancelledError:
-                pass
-
-    async def _serve_http(
-        self,
-        request_line: bytes,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-    ) -> None:
-        try:
-            method, target, _ = request_line.decode("latin-1").split(" ", 2)
-        except ValueError:
-            _http_respond(writer, 400, {"error": "malformed request line"})
-            await writer.drain()
-            return
-        content_length = 0
-        while True:
-            header = await reader.readline()
-            if header in (b"\r\n", b"\n", b""):
-                break
-            name, _, value = header.decode("latin-1").partition(":")
-            if name.strip().lower() == "content-length":
-                try:
-                    content_length = int(value.strip())
-                except ValueError:
-                    _http_respond(writer, 400, {"error": "bad Content-Length"})
-                    await writer.drain()
-                    return
-        body = await reader.readexactly(content_length) if content_length else b""
-
-        if method == "GET" and target in ("/metrics", "/metrics/"):
-            _http_respond(writer, 200, await self.snapshot())
-        elif method == "GET" and target in ("/healthz", "/healthz/"):
-            health = self.health_payload()
-            _http_respond(writer, 200 if health["ok"] else 503, health)
-        elif method == "POST" and target in ("/drain", "/drain/"):
-            self._draining = True
-            _http_respond(
-                writer, 200, {"draining": True, "inflight": self._inflight}
-            )
-        elif method == "GET" and (
-            target in ("/patterns", "/patterns/")
-            or target.startswith("/patterns?")
-        ):
-            message = _patterns_message_from_target(target)
-            payload = json.loads(await self.handle_raw(encode(message)))
-            status = 200 if payload.get("ok") else _http_status(payload)
-            _http_respond(writer, status, payload)
-        elif method == "POST" and target in (
-            "/query", "/append", "/batch", "/topk", "/scan", "/patterns",
-            "/query/", "/append/", "/batch/", "/topk/", "/scan/", "/patterns/",
-        ):
-            payload = json.loads(await self.handle_raw(body))
-            status = 200 if payload.get("ok") else _http_status(payload)
-            _http_respond(writer, status, payload)
-        else:
-            _http_respond(writer, 404, {"error": f"no route {method} {target}"})
-        await writer.drain()

@@ -2,7 +2,7 @@
 
 One request or reply per message.  Over raw TCP, messages are
 newline-delimited JSON objects (NDJSON); over HTTP, the same objects
-travel as request/response bodies (see :mod:`repro.service.server` for
+travel as request/response bodies (see :mod:`repro.service.frontend` for
 the endpoint map).  Every message carries the protocol version ``v`` and
 an opaque correlation ``id`` that the server echoes back, so clients may
 pipeline requests on one connection.
@@ -50,13 +50,43 @@ load-shedding response required by admission control and carries a
 Densities and flow values round-trip exactly: Python's ``json`` emits
 ``repr``-exact doubles, so a served answer compares equal (``==``) to the
 in-process :func:`repro.core.engine.find_bursting_flow` answer.
+
+Declaring an op
+---------------
+Every message is a frozen dataclass decorated with :func:`wire_message`.
+A request class names its ``op`` in a class attribute, a reply class its
+``ok``.  Each field after ``id`` declares its wire check once, next to
+the field: ``delta: int = wire(POSITIVE_INT)``, or with a default,
+``plan: str = wire(choice(BATCH_PLANS), "shared")``.  A field defaulting
+to ``None`` also accepts ``null``.  The kinds are :data:`NODE`,
+:data:`INT`, :data:`POSITIVE_INT`, :data:`NUMBER`, :func:`choice`,
+:func:`array`, :func:`record` (a fixed-arity tuple), :func:`nested` (a
+dataclass) and their siblings below.  Adding an op means declaring one
+such dataclass; the decorator computes its field specs once, at import,
+and :func:`parse_request` / :func:`request_payload` / :func:`reply_payload`
+/ :func:`parse_reply` walk them.
+
+How the bytes are derived:
+
+* a request is ``v``, ``id``, ``op``, then its fields in declaration
+  order, omitting ``None``;
+* a reply is ``v``, ``id``, ``ok``, then ``result`` holding its non-``id``
+  fields in declaration order — nested dataclasses as objects, tuples as
+  arrays, ``None`` as ``null``;
+* two exceptions: a :class:`MetricsReply`'s ``result`` is the snapshot
+  itself, and an :class:`ErrorReply` nests its fields under ``error``,
+  omitting ``None``.
+
+A reply's type is recovered from its ``result`` keys: the reply class
+whose field names they are, exactly; any other object is a metrics
+snapshot.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from typing import Any, Mapping, Sequence
+from dataclasses import MISSING, dataclass, field, fields
+from typing import Any, Callable, Mapping, Sequence
 
 from repro.exceptions import ReproError
 from repro.temporal.edge import NodeId, Timestamp
@@ -137,8 +167,231 @@ class StaleEpochError(ReproError):
 
 
 # ----------------------------------------------------------------------
+# Field kinds: one wire check per field, declared next to it
+# ----------------------------------------------------------------------
+class _Invalid(Exception):
+    """A value failed its check.  ``path`` grows as the error leaves each
+    container, so the success path never builds a field name."""
+
+    def __init__(self, describe: Callable[[str], str], path: str = "") -> None:
+        super().__init__()
+        self.describe = describe
+        self.path = path
+
+
+@dataclass(frozen=True, slots=True)
+class Kind:
+    """How one field travels.
+
+    ``load(value)`` checks a decoded JSON value and converts it, raising
+    :class:`_Invalid`; ``dump(value)`` gives the JSON-able form of a
+    non-``None`` value (``None``: the value as is).
+    """
+
+    load: Callable[[Any], Any]
+    dump: Callable[[Any], Any] | None = None
+
+
+def _checked(
+    types: tuple[type, ...],
+    expect: str,
+    *,
+    test: Callable[[Any], bool] | None = None,
+    convert: Callable[[Any], Any] | None = None,
+) -> Kind:
+    """A value of ``types`` passing ``test``.  ``bool`` (an ``int`` to
+    Python, not to JSON) is accepted only where ``types`` names it."""
+    not_bool = () if bool in types else bool
+
+    def load(value: Any) -> Any:
+        if (
+            isinstance(value, types)
+            and not isinstance(value, not_bool)
+            and (test is None or test(value))
+        ):
+            return value if convert is None else convert(value)
+        raise _Invalid(lambda key: f"{key} must be {expect}, got {value!r}")
+
+    return Kind(load)
+
+
+NODE = _checked((str, int), "a string or integer node id")
+INT = _checked((int,), "an int")
+TIMESTAMP = _checked((int,), "an int timestamp")
+POSITIVE_INT = _checked((int,), "a positive int", test=lambda v: v >= 1)
+NON_NEGATIVE_INT = _checked((int,), "a non-negative int", test=lambda v: v >= 0)
+NUMBER = _checked((int, float), "a number", convert=float)
+POSITIVE_NUMBER = _checked(
+    (int, float), "a positive number", test=lambda v: v > 0, convert=float
+)
+NON_NEGATIVE_NUMBER = _checked(
+    (int, float), "a non-negative number", test=lambda v: v >= 0, convert=float
+)
+TEXT = _checked((str,), "a string")
+FLAG = _checked((bool,), "a boolean")
+OBJECT = Kind(_checked((Mapping,), "an object", convert=dict).load, dict)
+
+
+def choice(options: Sequence[str]) -> Kind:
+    """One of a closed set of strings."""
+    return _checked((str,), f"one of {', '.join(options)}", test=options.__contains__)
+
+
+def maybe(kind: Kind) -> Kind:
+    """``kind`` or ``null``."""
+    load = kind.load
+    return Kind(lambda v: None if v is None else load(v), kind.dump)
+
+
+def record(**items: Kind) -> Kind:
+    """A fixed-arity tuple travelling as the array ``[a, b, ...]``."""
+    names = tuple(items)
+    loads = tuple(kind.load for kind in items.values())
+    shape = f"[{', '.join(names)}]"
+
+    def load(value: Any) -> tuple:
+        if not isinstance(value, (list, tuple)) or len(value) != len(loads):
+            raise _Invalid(lambda key: f"{key} must be {shape}, got {value!r}")
+        out: list[Any] = []
+        try:
+            for item_load, item in zip(loads, value):
+                out.append(item_load(item))
+        except _Invalid as exc:
+            exc.path = f".{names[len(out)]}{exc.path}"
+            raise
+        return tuple(out)
+
+    return Kind(load, list)
+
+
+def array(item: Kind, *, non_empty: bool = False) -> Kind:
+    """A homogeneous tuple travelling as a JSON array."""
+    item_load, item_dump = item.load, item.dump
+
+    def load(value: Any) -> tuple:
+        if not isinstance(value, (list, tuple)):
+            raise _Invalid(lambda key: f"{key} must be an array, got {value!r}")
+        if non_empty and not value:
+            raise _Invalid(lambda key: f"{key} must not be empty")
+        out: list[Any] = []
+        try:
+            for entry in value:
+                out.append(item_load(entry))
+        except _Invalid as exc:
+            exc.path = f"[{len(out)}]{exc.path}"
+            raise
+        return tuple(out)
+
+    if item_dump is None:
+        return Kind(load, list)
+    return Kind(load, lambda value: [item_dump(entry) for entry in value])
+
+
+def nested(cls: type) -> Kind:
+    """A dataclass with :func:`wire` fields, travelling as a JSON object."""
+    spec = _Spec(cls)
+
+    def load(value: Any) -> Any:
+        if not isinstance(value, Mapping):
+            raise _Invalid(lambda key: f"{key} must be an object, got {value!r}")
+        try:
+            return cls(*spec.load(value))
+        except _Invalid as exc:
+            exc.path = f".{exc.path}"
+            raise
+
+    return Kind(load, lambda value: spec.dump(value, {}, omit_none=False))
+
+
+def wire(kind: Kind, default: Any = MISSING) -> Any:
+    """Declare a message field: its wire kind and, if optional, default.
+
+    A field defaulting to ``None`` also accepts ``null`` on the wire.
+    """
+    if default is None:
+        kind = maybe(kind)
+    return field(default=default, metadata={"wire": kind})
+
+
+_ABSENT = object()
+
+
+class _Spec:
+    """The per-class field specs of one message, computed once."""
+
+    __slots__ = ("loads", "dumps", "names")
+
+    def __init__(self, cls: type) -> None:
+        specs = [f for f in fields(cls) if f.name != "id"]
+        for f in specs:
+            if "wire" not in f.metadata:
+                raise TypeError(f"{cls.__name__}.{f.name} declares no wire kind")
+        self.names = frozenset(f.name for f in specs)
+        self.loads = tuple(
+            (f.name, f.metadata["wire"].load, _ABSENT if f.default is MISSING else f.default)
+            for f in specs
+        )
+        self.dumps = tuple((f.name, f.metadata["wire"].dump) for f in specs)
+
+    def load(self, source: Mapping[str, Any]) -> list[Any]:
+        values = []
+        for name, load, default in self.loads:
+            value = source.get(name, _ABSENT)
+            if value is _ABSENT:
+                if default is _ABSENT:
+                    raise _Invalid(lambda key: f"missing required field {key!r}", name)
+                values.append(default)
+                continue
+            try:
+                values.append(load(value))
+            except _Invalid as exc:
+                exc.path = name + exc.path
+                raise
+        return values
+
+    def dump(self, message: Any, target: dict[str, Any], *, omit_none: bool) -> dict[str, Any]:
+        for name, dump in self.dumps:
+            value = getattr(message, name)
+            if value is None:
+                if not omit_none:
+                    target[name] = None
+            else:
+                target[name] = value if dump is None else dump(value)
+        return target
+
+
+#: Registered requests by ``op``, and replies by class.
+_REQUESTS: dict[str, tuple[type, _Spec]] = {}
+_REPLIES: dict[type, _Spec] = {}
+
+
+def wire_message(cls: type) -> type:
+    """Register a message dataclass with the codec.
+
+    Requests carry an ``op`` class attribute, replies an ``ok`` one.
+    """
+    spec = _Spec(cls)
+    if hasattr(cls, "op"):
+        _REQUESTS[cls.op] = (cls, spec)
+    else:
+        _REPLIES[cls] = spec
+    return cls
+
+
+# ----------------------------------------------------------------------
 # Requests
 # ----------------------------------------------------------------------
+#: Wire-level ``plan`` choices for ``op: "batch"``.
+BATCH_PLANS = ("shared", "independent")
+
+#: Wire-level ``persist`` choices for ``op: "scan"`` (mirrors
+#: :data:`repro.mining.PERSIST_MODES`).
+SCAN_PERSIST_MODES = ("flagged", "all")
+
+_PAIR = record(source=NODE, sink=NODE)
+
+
+@wire_message
 @dataclass(frozen=True, slots=True)
 class QueryRequest:
     """One delta-BFlow query: ``op: "query"``.
@@ -150,22 +403,19 @@ class QueryRequest:
     """
 
     id: str
-    source: NodeId
-    sink: NodeId
-    delta: int
-    algorithm: str | None = None
-    kernel: str | None = None
-    transform: str | None = None
-    timeout: float | None = None
-    min_epoch: int | None = None
+    source: NodeId = wire(NODE)
+    sink: NodeId = wire(NODE)
+    delta: int = wire(POSITIVE_INT)
+    algorithm: str | None = wire(TEXT, None)
+    kernel: str | None = wire(TEXT, None)
+    transform: str | None = wire(TEXT, None)
+    timeout: float | None = wire(POSITIVE_NUMBER, None)
+    min_epoch: int | None = wire(NON_NEGATIVE_INT, None)
 
     op = "query"
 
 
-#: Wire-level ``plan`` choices for ``op: "batch"``.
-BATCH_PLANS = ("shared", "independent")
-
-
+@wire_message
 @dataclass(frozen=True, slots=True)
 class BatchRequest:
     """Many delta-BFlow queries in one round trip: ``op: "batch"``.
@@ -177,14 +427,17 @@ class BatchRequest:
     """
 
     id: str
-    queries: tuple[tuple[NodeId, NodeId, int], ...]
-    plan: str = "shared"
-    timeout: float | None = None
-    min_epoch: int | None = None
+    queries: tuple[tuple[NodeId, NodeId, int], ...] = wire(
+        array(record(source=NODE, sink=NODE, delta=POSITIVE_INT), non_empty=True)
+    )
+    plan: str = wire(choice(BATCH_PLANS), "shared")
+    timeout: float | None = wire(POSITIVE_NUMBER, None)
+    min_epoch: int | None = wire(NON_NEGATIVE_INT, None)
 
     op = "batch"
 
 
+@wire_message
 @dataclass(frozen=True, slots=True)
 class TopKRequest:
     """Top-k densest bursts over candidate pairs: ``op: "topk"``.
@@ -195,30 +448,29 @@ class TopKRequest:
     """
 
     id: str
-    pairs: tuple[tuple[NodeId, NodeId], ...]
-    delta: int
-    k: int = 10
-    timeout: float | None = None
-    min_epoch: int | None = None
+    pairs: tuple[tuple[NodeId, NodeId], ...] = wire(array(_PAIR, non_empty=True))
+    delta: int = wire(POSITIVE_INT)
+    k: int = wire(POSITIVE_INT, 10)
+    timeout: float | None = wire(POSITIVE_NUMBER, None)
+    min_epoch: int | None = wire(NON_NEGATIVE_INT, None)
 
     op = "topk"
 
 
+@wire_message
 @dataclass(frozen=True, slots=True)
 class AppendRequest:
     """A streaming edge append: ``op: "append"``."""
 
     id: str
-    edges: tuple[tuple[NodeId, NodeId, Timestamp, float], ...]
+    edges: tuple[tuple[NodeId, NodeId, Timestamp, float], ...] = wire(
+        array(record(u=NODE, v=NODE, tau=TIMESTAMP, capacity=NUMBER))
+    )
 
     op = "append"
 
 
-#: Wire-level ``persist`` choices for ``op: "scan"`` (mirrors
-#: :data:`repro.mining.PERSIST_MODES`).
-SCAN_PERSIST_MODES = ("flagged", "all")
-
-
+@wire_message
 @dataclass(frozen=True, slots=True)
 class ScanRequest:
     """One mining-funnel scan: ``op: "scan"``.
@@ -232,17 +484,20 @@ class ScanRequest:
     """
 
     id: str
-    delta: int
-    pairs: tuple[tuple[NodeId, NodeId], ...] | None = None
-    top: int | None = None
-    min_volume: float | None = None
-    persist: str = "flagged"
-    timeout: float | None = None
-    min_epoch: int | None = None
+    delta: int = wire(POSITIVE_INT)
+    pairs: tuple[tuple[NodeId, NodeId], ...] | None = wire(
+        array(_PAIR, non_empty=True), None
+    )
+    top: int | None = wire(POSITIVE_INT, None)
+    min_volume: float | None = wire(NON_NEGATIVE_NUMBER, None)
+    persist: str = wire(choice(SCAN_PERSIST_MODES), "flagged")
+    timeout: float | None = wire(POSITIVE_NUMBER, None)
+    min_epoch: int | None = wire(NON_NEGATIVE_INT, None)
 
     op = "scan"
 
 
+@wire_message
 @dataclass(frozen=True, slots=True)
 class PatternsRequest:
     """A pattern-store query: ``op: "patterns"``.
@@ -252,16 +507,17 @@ class PatternsRequest:
     """
 
     id: str
-    source: NodeId | None = None
-    sink: NodeId | None = None
-    since: Timestamp | None = None
-    until: Timestamp | None = None
-    min_density: float | None = None
-    limit: int | None = None
+    source: NodeId | None = wire(NODE, None)
+    sink: NodeId | None = wire(NODE, None)
+    since: Timestamp | None = wire(TIMESTAMP, None)
+    until: Timestamp | None = wire(TIMESTAMP, None)
+    min_density: float | None = wire(NUMBER, None)
+    limit: int | None = wire(POSITIVE_INT, None)
 
     op = "patterns"
 
 
+@wire_message
 @dataclass(frozen=True, slots=True)
 class MetricsRequest:
     """A metrics-snapshot request: ``op: "metrics"``."""
@@ -271,6 +527,7 @@ class MetricsRequest:
     op = "metrics"
 
 
+@wire_message
 @dataclass(frozen=True, slots=True)
 class PingRequest:
     """A liveness/epoch probe: ``op: "ping"``."""
@@ -280,6 +537,7 @@ class PingRequest:
     op = "ping"
 
 
+@wire_message
 @dataclass(frozen=True, slots=True)
 class DrainRequest:
     """Begin a graceful drain: ``op: "drain"``.
@@ -311,17 +569,21 @@ Request = (
 # ----------------------------------------------------------------------
 # Replies
 # ----------------------------------------------------------------------
+_INTERVAL = record(tau_s=TIMESTAMP, tau_e=TIMESTAMP)
+
+
+@wire_message
 @dataclass(frozen=True, slots=True)
 class QueryReply:
     """A served delta-BFlow answer."""
 
     id: str
-    density: float
-    interval: tuple[Timestamp, Timestamp] | None
-    flow_value: float
-    cached: bool
-    epoch: int
-    elapsed_ms: float
+    density: float = wire(NUMBER)
+    interval: tuple[Timestamp, Timestamp] | None = wire(maybe(_INTERVAL))
+    flow_value: float = wire(NUMBER)
+    cached: bool = wire(FLAG)
+    epoch: int = wire(INT)
+    elapsed_ms: float = wire(NUMBER)
 
     ok = True
 
@@ -335,21 +597,22 @@ class QueryReply:
 class BatchAnswer:
     """One entry of a :class:`BatchReply` (aligned with the request)."""
 
-    density: float
-    interval: tuple[Timestamp, Timestamp] | None
-    flow_value: float
-    cached: bool
+    density: float = wire(NUMBER)
+    interval: tuple[Timestamp, Timestamp] | None = wire(maybe(_INTERVAL))
+    flow_value: float = wire(NUMBER)
+    cached: bool = wire(FLAG)
 
 
+@wire_message
 @dataclass(frozen=True, slots=True)
 class BatchReply:
     """Served answers for one batch, plus what the planner amortised."""
 
     id: str
-    results: tuple[BatchAnswer, ...]
-    epoch: int
-    elapsed_ms: float
-    planner: Mapping[str, Any]
+    results: tuple[BatchAnswer, ...] = wire(array(nested(BatchAnswer)))
+    epoch: int = wire(INT)
+    elapsed_ms: float = wire(NUMBER)
+    planner: Mapping[str, Any] = wire(OBJECT)
 
     ok = True
 
@@ -358,49 +621,52 @@ class BatchReply:
 class TopKBurst:
     """One ranked entry of a :class:`TopKReply`."""
 
-    source: NodeId
-    sink: NodeId
-    delta: int
-    density: float
-    interval: tuple[Timestamp, Timestamp]
-    flow_value: float
+    source: NodeId = wire(NODE)
+    sink: NodeId = wire(NODE)
+    delta: int = wire(INT)
+    density: float = wire(NUMBER)
+    interval: tuple[Timestamp, Timestamp] = wire(_INTERVAL)
+    flow_value: float = wire(NUMBER)
 
 
+@wire_message
 @dataclass(frozen=True, slots=True)
 class TopKReply:
     """The k densest bursts over the requested candidate pairs."""
 
     id: str
-    entries: tuple[TopKBurst, ...]
-    epoch: int
-    elapsed_ms: float
-    cached: bool
+    entries: tuple[TopKBurst, ...] = wire(array(nested(TopKBurst)))
+    epoch: int = wire(INT)
+    elapsed_ms: float = wire(NUMBER)
+    cached: bool = wire(FLAG)
 
     ok = True
 
 
+@wire_message
 @dataclass(frozen=True, slots=True)
 class AppendReply:
     """Acknowledgement of a streaming append."""
 
     id: str
-    appended: int
-    epoch: int
-    invalidated: int
+    appended: int = wire(INT)
+    epoch: int = wire(INT)
+    invalidated: int = wire(INT)
 
     ok = True
 
 
+@wire_message
 @dataclass(frozen=True, slots=True)
 class ScanReply:
     """The outcome of one mining-funnel scan."""
 
     id: str
-    new_ids: tuple[str, ...]
-    deduped: int
-    funnel: Mapping[str, Any]
-    epoch: int
-    elapsed_ms: float
+    new_ids: tuple[str, ...] = wire(array(TEXT))
+    deduped: int = wire(INT)
+    funnel: Mapping[str, Any] = wire(OBJECT)
+    epoch: int = wire(INT)
+    elapsed_ms: float = wire(NUMBER)
 
     ok = True
 
@@ -410,56 +676,61 @@ class ScanReply:
         return len(self.new_ids)
 
 
+@wire_message
 @dataclass(frozen=True, slots=True)
 class PatternsReply:
     """Matching pattern records (dict form, density-descending)."""
 
     id: str
-    patterns: tuple[Mapping[str, Any], ...]
+    patterns: tuple[Mapping[str, Any], ...] = wire(array(OBJECT))
 
     ok = True
 
 
+@wire_message
 @dataclass(frozen=True, slots=True)
 class MetricsReply:
-    """A point-in-time metrics snapshot."""
+    """A point-in-time metrics snapshot (on the wire: the ``result``)."""
 
     id: str
-    snapshot: Mapping[str, Any]
+    snapshot: Mapping[str, Any] = wire(OBJECT)
 
     ok = True
 
 
+@wire_message
 @dataclass(frozen=True, slots=True)
 class PongReply:
     """Liveness acknowledgement with the current network epoch."""
 
     id: str
-    epoch: int
+    epoch: int = wire(INT)
 
     ok = True
 
 
+@wire_message
 @dataclass(frozen=True, slots=True)
 class DrainReply:
     """Acknowledgement that the server entered (or is in) drain mode."""
 
     id: str
-    draining: bool
-    inflight: int
+    draining: bool = wire(FLAG)
+    inflight: int = wire(INT)
 
     ok = True
 
 
+@wire_message
 @dataclass(frozen=True, slots=True)
 class ErrorReply:
-    """A typed failure (:data:`ERROR_KINDS`)."""
+    """A typed failure (:data:`ERROR_KINDS`), under ``error`` on the wire."""
 
     id: str
-    kind: str
-    message: str
-    retry_after_ms: int | None = None
-    epoch: int | None = None
+    kind: str = wire(TEXT)
+    message: str = wire(TEXT)
+    retry_after_ms: int | None = wire(INT, None)
+    epoch: int | None = wire(INT, None)
 
     ok = False
 
@@ -477,53 +748,37 @@ Reply = (
     | ErrorReply
 )
 
+#: The reply-type discriminator: an ok reply's ``result`` keys name its
+#: class exactly; anything else is a metrics snapshot.
+_REPLY_BY_KEYS = {
+    spec.names: cls
+    for cls, spec in _REPLIES.items()
+    if cls.ok and cls is not MetricsReply
+}
+assert len(_REPLY_BY_KEYS) == len(_REPLIES) - 2, "two replies share a result shape"
+
 
 # ----------------------------------------------------------------------
-# Parsing
+# The codec
 # ----------------------------------------------------------------------
-def _require(payload: Mapping[str, Any], key: str) -> Any:
+def _decode(raw: bytes | str | Mapping[str, Any], what: str) -> Mapping[str, Any]:
+    if isinstance(raw, (bytes, bytearray, str)):
+        try:
+            payload = json.loads(raw)
+        except (ValueError, RecursionError) as exc:
+            raise ProtocolError(f"malformed JSON {what}: {exc}") from None
+    else:
+        payload = raw
+    if not isinstance(payload, Mapping):
+        raise ProtocolError(f"{what} must be a JSON object, got {payload!r}")
+    return payload
+
+
+def _load(spec: _Spec, source: Mapping[str, Any]) -> list[Any]:
     try:
-        return payload[key]
-    except KeyError:
-        raise ProtocolError(f"missing required field {key!r}") from None
-
-
-def _check_node(value: Any, key: str) -> NodeId:
-    if not isinstance(value, (str, int)) or isinstance(value, bool):
-        raise ProtocolError(
-            f"{key} must be a string or integer node id, got {value!r}"
-        )
-    return value
-
-
-def _check_delta(value: Any, key: str = "delta") -> int:
-    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-        raise ProtocolError(f"{key} must be a positive int, got {value!r}")
-    return value
-
-
-def _parse_timeout(payload: Mapping[str, Any]) -> float | None:
-    timeout = payload.get("timeout")
-    if timeout is None:
-        return None
-    if not isinstance(timeout, (int, float)) or isinstance(timeout, bool) or timeout <= 0:
-        raise ProtocolError(
-            f"timeout must be a positive number of seconds, got {timeout!r}"
-        )
-    return float(timeout)
-
-
-def _parse_min_epoch(payload: Mapping[str, Any]) -> int | None:
-    min_epoch = payload.get("min_epoch")
-    if min_epoch is not None and (
-        not isinstance(min_epoch, int)
-        or isinstance(min_epoch, bool)
-        or min_epoch < 0
-    ):
-        raise ProtocolError(
-            f"min_epoch must be a non-negative int, got {min_epoch!r}"
-        )
-    return min_epoch
+        return spec.load(source)
+    except _Invalid as exc:
+        raise ProtocolError(exc.describe(exc.path)) from None
 
 
 def parse_request(raw: bytes | str | Mapping[str, Any]) -> Request:
@@ -533,16 +788,7 @@ def parse_request(raw: bytes | str | Mapping[str, Any]) -> Request:
         ProtocolError: malformed JSON, wrong version, unknown op, bad
             field types — with ``kind`` set for the typed error reply.
     """
-    if isinstance(raw, (bytes, bytearray, str)):
-        try:
-            payload = json.loads(raw)
-        except json.JSONDecodeError as exc:
-            raise ProtocolError(f"malformed JSON: {exc}") from None
-    else:
-        payload = raw
-    if not isinstance(payload, Mapping):
-        raise ProtocolError(f"request must be a JSON object, got {payload!r}")
-
+    payload = _decode(raw, "request")
     version = payload.get("v")
     if version != PROTOCOL_VERSION:
         raise ProtocolError(
@@ -553,364 +799,32 @@ def parse_request(raw: bytes | str | Mapping[str, Any]) -> Request:
     request_id = payload.get("id", "")
     if not isinstance(request_id, str):
         raise ProtocolError(f"id must be a string, got {request_id!r}")
-    op = _require(payload, "op")
-
-    if op == "query":
-        delta = _check_delta(_require(payload, "delta"))
-        algorithm = payload.get("algorithm")
-        if algorithm is not None and not isinstance(algorithm, str):
-            raise ProtocolError(f"algorithm must be a string, got {algorithm!r}")
-        kernel = payload.get("kernel")
-        if kernel is not None and not isinstance(kernel, str):
-            raise ProtocolError(f"kernel must be a string, got {kernel!r}")
-        transform = payload.get("transform")
-        if transform is not None and not isinstance(transform, str):
-            raise ProtocolError(f"transform must be a string, got {transform!r}")
-        return QueryRequest(
-            id=request_id,
-            source=_check_node(_require(payload, "source"), "source"),
-            sink=_check_node(_require(payload, "sink"), "sink"),
-            delta=delta,
-            algorithm=algorithm,
-            kernel=kernel,
-            transform=transform,
-            timeout=_parse_timeout(payload),
-            min_epoch=_parse_min_epoch(payload),
-        )
-    if op == "batch":
-        raw_queries = _require(payload, "queries")
-        if not isinstance(raw_queries, Sequence) or isinstance(
-            raw_queries, (str, bytes)
-        ):
-            raise ProtocolError(f"queries must be an array, got {raw_queries!r}")
-        if not raw_queries:
-            raise ProtocolError("queries must not be empty")
-        triples = []
-        for position, item in enumerate(raw_queries):
-            if not isinstance(item, Sequence) or len(item) != 3:
-                raise ProtocolError(
-                    f"queries[{position}] must be [source, sink, delta], "
-                    f"got {item!r}"
-                )
-            source, sink, delta = item
-            triples.append(
-                (
-                    _check_node(source, f"queries[{position}].source"),
-                    _check_node(sink, f"queries[{position}].sink"),
-                    _check_delta(delta, f"queries[{position}].delta"),
-                )
-            )
-        plan = payload.get("plan", "shared")
-        if plan not in BATCH_PLANS:
-            raise ProtocolError(
-                f"plan must be one of {', '.join(BATCH_PLANS)}, got {plan!r}"
-            )
-        return BatchRequest(
-            id=request_id,
-            queries=tuple(triples),
-            plan=plan,
-            timeout=_parse_timeout(payload),
-            min_epoch=_parse_min_epoch(payload),
-        )
-    if op == "topk":
-        raw_pairs = _require(payload, "pairs")
-        if not isinstance(raw_pairs, Sequence) or isinstance(
-            raw_pairs, (str, bytes)
-        ):
-            raise ProtocolError(f"pairs must be an array, got {raw_pairs!r}")
-        if not raw_pairs:
-            raise ProtocolError("pairs must not be empty")
-        pairs = []
-        for position, item in enumerate(raw_pairs):
-            if not isinstance(item, Sequence) or len(item) != 2:
-                raise ProtocolError(
-                    f"pairs[{position}] must be [source, sink], got {item!r}"
-                )
-            source, sink = item
-            pairs.append(
-                (
-                    _check_node(source, f"pairs[{position}].source"),
-                    _check_node(sink, f"pairs[{position}].sink"),
-                )
-            )
-        k = payload.get("k", 10)
-        if not isinstance(k, int) or isinstance(k, bool) or k < 1:
-            raise ProtocolError(f"k must be a positive int, got {k!r}")
-        return TopKRequest(
-            id=request_id,
-            pairs=tuple(pairs),
-            delta=_check_delta(_require(payload, "delta")),
-            k=k,
-            timeout=_parse_timeout(payload),
-            min_epoch=_parse_min_epoch(payload),
-        )
-    if op == "append":
-        raw_edges = _require(payload, "edges")
-        if not isinstance(raw_edges, Sequence) or isinstance(raw_edges, (str, bytes)):
-            raise ProtocolError(f"edges must be an array, got {raw_edges!r}")
-        edges = []
-        for position, item in enumerate(raw_edges):
-            if not isinstance(item, Sequence) or len(item) != 4:
-                raise ProtocolError(
-                    f"edges[{position}] must be [u, v, tau, capacity], got {item!r}"
-                )
-            u, v, tau, capacity = item
-            if not isinstance(tau, int) or isinstance(tau, bool):
-                raise ProtocolError(
-                    f"edges[{position}] timestamp must be an int, got {tau!r}"
-                )
-            if not isinstance(capacity, (int, float)) or isinstance(capacity, bool):
-                raise ProtocolError(
-                    f"edges[{position}] capacity must be a number, got {capacity!r}"
-                )
-            edges.append(
-                (
-                    _check_node(u, f"edges[{position}].u"),
-                    _check_node(v, f"edges[{position}].v"),
-                    tau,
-                    float(capacity),
-                )
-            )
-        return AppendRequest(id=request_id, edges=tuple(edges))
-    if op == "scan":
-        raw_pairs = payload.get("pairs")
-        pairs: tuple[tuple[NodeId, NodeId], ...] | None = None
-        if raw_pairs is not None:
-            if not isinstance(raw_pairs, Sequence) or isinstance(
-                raw_pairs, (str, bytes)
-            ):
-                raise ProtocolError(f"pairs must be an array, got {raw_pairs!r}")
-            if not raw_pairs:
-                raise ProtocolError("pairs must not be empty when given")
-            parsed = []
-            for position, item in enumerate(raw_pairs):
-                if not isinstance(item, Sequence) or len(item) != 2:
-                    raise ProtocolError(
-                        f"pairs[{position}] must be [source, sink], got {item!r}"
-                    )
-                source, sink = item
-                parsed.append(
-                    (
-                        _check_node(source, f"pairs[{position}].source"),
-                        _check_node(sink, f"pairs[{position}].sink"),
-                    )
-                )
-            pairs = tuple(parsed)
-        top = payload.get("top")
-        if top is not None and (
-            not isinstance(top, int) or isinstance(top, bool) or top < 1
-        ):
-            raise ProtocolError(f"top must be a positive int, got {top!r}")
-        min_volume = payload.get("min_volume")
-        if min_volume is not None:
-            if not isinstance(min_volume, (int, float)) or isinstance(
-                min_volume, bool
-            ) or min_volume < 0:
-                raise ProtocolError(
-                    f"min_volume must be a non-negative number, got {min_volume!r}"
-                )
-            min_volume = float(min_volume)
-        persist = payload.get("persist", "flagged")
-        if persist not in SCAN_PERSIST_MODES:
-            raise ProtocolError(
-                f"persist must be one of {', '.join(SCAN_PERSIST_MODES)}, "
-                f"got {persist!r}"
-            )
-        return ScanRequest(
-            id=request_id,
-            delta=_check_delta(_require(payload, "delta")),
-            pairs=pairs,
-            top=top,
-            min_volume=min_volume,
-            persist=persist,
-            timeout=_parse_timeout(payload),
-            min_epoch=_parse_min_epoch(payload),
-        )
-    if op == "patterns":
-        source = payload.get("source")
-        if source is not None:
-            source = _check_node(source, "source")
-        sink = payload.get("sink")
-        if sink is not None:
-            sink = _check_node(sink, "sink")
-        since = payload.get("since")
-        if since is not None and (
-            not isinstance(since, int) or isinstance(since, bool)
-        ):
-            raise ProtocolError(f"since must be an int timestamp, got {since!r}")
-        until = payload.get("until")
-        if until is not None and (
-            not isinstance(until, int) or isinstance(until, bool)
-        ):
-            raise ProtocolError(f"until must be an int timestamp, got {until!r}")
-        min_density = payload.get("min_density")
-        if min_density is not None:
-            if not isinstance(min_density, (int, float)) or isinstance(
-                min_density, bool
-            ):
-                raise ProtocolError(
-                    f"min_density must be a number, got {min_density!r}"
-                )
-            min_density = float(min_density)
-        limit = payload.get("limit")
-        if limit is not None and (
-            not isinstance(limit, int) or isinstance(limit, bool) or limit < 1
-        ):
-            raise ProtocolError(f"limit must be a positive int, got {limit!r}")
-        return PatternsRequest(
-            id=request_id,
-            source=source,
-            sink=sink,
-            since=since,
-            until=until,
-            min_density=min_density,
-            limit=limit,
-        )
-    if op == "metrics":
-        return MetricsRequest(id=request_id)
-    if op == "ping":
-        return PingRequest(id=request_id)
-    if op == "drain":
-        return DrainRequest(id=request_id)
-    raise ProtocolError(f"unknown op {op!r}")
+    op = payload.get("op", _ABSENT)
+    if op is _ABSENT:
+        raise ProtocolError("missing required field 'op'")
+    registered = _REQUESTS.get(op) if isinstance(op, str) else None
+    if registered is None:
+        raise ProtocolError(f"unknown op {op!r}")
+    cls, spec = registered
+    return cls(request_id, *_load(spec, payload))
 
 
-# ----------------------------------------------------------------------
-# Encoding
-# ----------------------------------------------------------------------
 def request_payload(request: Request) -> dict[str, Any]:
     """The JSON-able dict form of a request (client side)."""
-    payload: dict[str, Any] = {"v": PROTOCOL_VERSION, "id": request.id, "op": request.op}
-    if isinstance(request, QueryRequest):
-        payload.update(source=request.source, sink=request.sink, delta=request.delta)
-        if request.algorithm is not None:
-            payload["algorithm"] = request.algorithm
-        if request.kernel is not None:
-            payload["kernel"] = request.kernel
-        if request.transform is not None:
-            payload["transform"] = request.transform
-        if request.timeout is not None:
-            payload["timeout"] = request.timeout
-        if request.min_epoch is not None:
-            payload["min_epoch"] = request.min_epoch
-    elif isinstance(request, BatchRequest):
-        payload["queries"] = [list(triple) for triple in request.queries]
-        payload["plan"] = request.plan
-        if request.timeout is not None:
-            payload["timeout"] = request.timeout
-        if request.min_epoch is not None:
-            payload["min_epoch"] = request.min_epoch
-    elif isinstance(request, TopKRequest):
-        payload["pairs"] = [list(pair) for pair in request.pairs]
-        payload["delta"] = request.delta
-        payload["k"] = request.k
-        if request.timeout is not None:
-            payload["timeout"] = request.timeout
-        if request.min_epoch is not None:
-            payload["min_epoch"] = request.min_epoch
-    elif isinstance(request, AppendRequest):
-        payload["edges"] = [list(edge) for edge in request.edges]
-    elif isinstance(request, ScanRequest):
-        payload["delta"] = request.delta
-        if request.pairs is not None:
-            payload["pairs"] = [list(pair) for pair in request.pairs]
-        if request.top is not None:
-            payload["top"] = request.top
-        if request.min_volume is not None:
-            payload["min_volume"] = request.min_volume
-        payload["persist"] = request.persist
-        if request.timeout is not None:
-            payload["timeout"] = request.timeout
-        if request.min_epoch is not None:
-            payload["min_epoch"] = request.min_epoch
-    elif isinstance(request, PatternsRequest):
-        for key in ("source", "sink", "since", "until", "min_density", "limit"):
-            value = getattr(request, key)
-            if value is not None:
-                payload[key] = value
-    return payload
+    payload = {"v": PROTOCOL_VERSION, "id": request.id, "op": request.op}
+    return _REQUESTS[request.op][1].dump(request, payload, omit_none=True)
 
 
 def reply_payload(reply: Reply) -> dict[str, Any]:
     """The JSON-able dict form of a reply (server side)."""
     payload: dict[str, Any] = {"v": PROTOCOL_VERSION, "id": reply.id, "ok": reply.ok}
-    if isinstance(reply, QueryReply):
-        payload["result"] = {
-            "density": reply.density,
-            "interval": list(reply.interval) if reply.interval is not None else None,
-            "flow_value": reply.flow_value,
-            "cached": reply.cached,
-            "epoch": reply.epoch,
-            "elapsed_ms": reply.elapsed_ms,
-        }
-    elif isinstance(reply, BatchReply):
-        payload["result"] = {
-            "results": [
-                {
-                    "density": entry.density,
-                    "interval": (
-                        list(entry.interval) if entry.interval is not None else None
-                    ),
-                    "flow_value": entry.flow_value,
-                    "cached": entry.cached,
-                }
-                for entry in reply.results
-            ],
-            "epoch": reply.epoch,
-            "elapsed_ms": reply.elapsed_ms,
-            "planner": dict(reply.planner),
-        }
-    elif isinstance(reply, TopKReply):
-        payload["result"] = {
-            "entries": [
-                {
-                    "source": entry.source,
-                    "sink": entry.sink,
-                    "delta": entry.delta,
-                    "density": entry.density,
-                    "interval": list(entry.interval),
-                    "flow_value": entry.flow_value,
-                }
-                for entry in reply.entries
-            ],
-            "epoch": reply.epoch,
-            "elapsed_ms": reply.elapsed_ms,
-            "cached": reply.cached,
-        }
-    elif isinstance(reply, AppendReply):
-        payload["result"] = {
-            "appended": reply.appended,
-            "epoch": reply.epoch,
-            "invalidated": reply.invalidated,
-        }
-    elif isinstance(reply, ScanReply):
-        payload["result"] = {
-            "new_ids": list(reply.new_ids),
-            "deduped": reply.deduped,
-            "funnel": dict(reply.funnel),
-            "epoch": reply.epoch,
-            "elapsed_ms": reply.elapsed_ms,
-        }
-    elif isinstance(reply, PatternsReply):
-        payload["result"] = {
-            "patterns": [dict(record) for record in reply.patterns],
-        }
-    elif isinstance(reply, MetricsReply):
+    cls = type(reply)
+    if cls is MetricsReply:
         payload["result"] = dict(reply.snapshot)
-    elif isinstance(reply, PongReply):
-        payload["result"] = {"epoch": reply.epoch}
-    elif isinstance(reply, DrainReply):
-        payload["result"] = {
-            "draining": reply.draining,
-            "inflight": reply.inflight,
-        }
-    elif isinstance(reply, ErrorReply):
-        error: dict[str, Any] = {"kind": reply.kind, "message": reply.message}
-        if reply.retry_after_ms is not None:
-            error["retry_after_ms"] = reply.retry_after_ms
-        if reply.epoch is not None:
-            error["epoch"] = reply.epoch
-        payload["error"] = error
+    elif cls is ErrorReply:
+        payload["error"] = _REPLIES[cls].dump(reply, {}, omit_none=True)
+    else:
+        payload["result"] = _REPLIES[cls].dump(reply, {}, omit_none=False)
     return payload
 
 
@@ -926,133 +840,20 @@ def parse_reply(raw: bytes | str | Mapping[str, Any]) -> Reply:
         ProtocolError: malformed JSON or a reply shape this client does
             not understand.
     """
-    if isinstance(raw, (bytes, bytearray, str)):
-        try:
-            payload = json.loads(raw)
-        except json.JSONDecodeError as exc:
-            raise ProtocolError(f"malformed JSON reply: {exc}") from None
-    else:
-        payload = raw
-    if not isinstance(payload, Mapping):
-        raise ProtocolError(f"reply must be a JSON object, got {payload!r}")
+    payload = _decode(raw, "reply")
     reply_id = payload.get("id", "")
     if payload.get("ok"):
         result = payload.get("result")
         if not isinstance(result, Mapping):
             raise ProtocolError(f"ok reply without result object: {payload!r}")
-        if "results" in result:
-            entries = result["results"]
-            if not isinstance(entries, Sequence) or isinstance(entries, (str, bytes)):
-                raise ProtocolError(f"batch reply results must be an array: {payload!r}")
-            answers = []
-            for entry in entries:
-                if not isinstance(entry, Mapping) or "density" not in entry:
-                    raise ProtocolError(f"malformed batch answer: {entry!r}")
-                interval = entry.get("interval")
-                answers.append(
-                    BatchAnswer(
-                        density=float(entry["density"]),
-                        interval=tuple(interval) if interval is not None else None,
-                        flow_value=float(entry["flow_value"]),
-                        cached=bool(entry.get("cached", False)),
-                    )
-                )
-            planner = result.get("planner")
-            return BatchReply(
-                id=reply_id,
-                results=tuple(answers),
-                epoch=int(result.get("epoch", 0)),
-                elapsed_ms=float(result.get("elapsed_ms", 0.0)),
-                planner=dict(planner) if isinstance(planner, Mapping) else {},
-            )
-        if "entries" in result:
-            entries = result["entries"]
-            if not isinstance(entries, Sequence) or isinstance(entries, (str, bytes)):
-                raise ProtocolError(f"topk reply entries must be an array: {payload!r}")
-            bursts = []
-            for entry in entries:
-                if not isinstance(entry, Mapping) or "density" not in entry:
-                    raise ProtocolError(f"malformed topk entry: {entry!r}")
-                bursts.append(
-                    TopKBurst(
-                        source=entry["source"],
-                        sink=entry["sink"],
-                        delta=int(entry["delta"]),
-                        density=float(entry["density"]),
-                        interval=tuple(entry["interval"]),
-                        flow_value=float(entry["flow_value"]),
-                    )
-                )
-            return TopKReply(
-                id=reply_id,
-                entries=tuple(bursts),
-                epoch=int(result.get("epoch", 0)),
-                elapsed_ms=float(result.get("elapsed_ms", 0.0)),
-                cached=bool(result.get("cached", False)),
-            )
-        if "density" in result:
-            interval = result.get("interval")
-            return QueryReply(
-                id=reply_id,
-                density=float(result["density"]),
-                interval=tuple(interval) if interval is not None else None,
-                flow_value=float(result["flow_value"]),
-                cached=bool(result.get("cached", False)),
-                epoch=int(result.get("epoch", 0)),
-                elapsed_ms=float(result.get("elapsed_ms", 0.0)),
-            )
-        if "appended" in result:
-            return AppendReply(
-                id=reply_id,
-                appended=int(result["appended"]),
-                epoch=int(result["epoch"]),
-                invalidated=int(result.get("invalidated", 0)),
-            )
-        if "funnel" in result:
-            new_ids = result.get("new_ids", [])
-            if not isinstance(new_ids, Sequence) or isinstance(new_ids, (str, bytes)):
-                raise ProtocolError(f"scan reply new_ids must be an array: {payload!r}")
-            funnel = result.get("funnel")
-            return ScanReply(
-                id=reply_id,
-                new_ids=tuple(str(pattern_id) for pattern_id in new_ids),
-                deduped=int(result.get("deduped", 0)),
-                funnel=dict(funnel) if isinstance(funnel, Mapping) else {},
-                epoch=int(result.get("epoch", 0)),
-                elapsed_ms=float(result.get("elapsed_ms", 0.0)),
-            )
-        if "patterns" in result:
-            records = result["patterns"]
-            if not isinstance(records, Sequence) or isinstance(records, (str, bytes)):
-                raise ProtocolError(
-                    f"patterns reply must carry an array: {payload!r}"
-                )
-            for record in records:
-                if not isinstance(record, Mapping) or "pattern_id" not in record:
-                    raise ProtocolError(f"malformed pattern record: {record!r}")
-            return PatternsReply(
-                id=reply_id,
-                patterns=tuple(dict(record) for record in records),
-            )
-        if tuple(result) == ("epoch",):
-            return PongReply(id=reply_id, epoch=int(result["epoch"]))
-        if set(result) == {"draining", "inflight"}:
-            return DrainReply(
-                id=reply_id,
-                draining=bool(result["draining"]),
-                inflight=int(result.get("inflight", 0)),
-            )
-        return MetricsReply(id=reply_id, snapshot=dict(result))
+        cls = _REPLY_BY_KEYS.get(frozenset(result))
+        if cls is None:
+            return MetricsReply(id=reply_id, snapshot=dict(result))
+        return cls(reply_id, *_load(_REPLIES[cls], result))
     error = payload.get("error")
-    if not isinstance(error, Mapping) or "kind" not in error:
-        raise ProtocolError(f"error reply without typed error object: {payload!r}")
-    return ErrorReply(
-        id=reply_id,
-        kind=str(error["kind"]),
-        message=str(error.get("message", "")),
-        retry_after_ms=error.get("retry_after_ms"),
-        epoch=error.get("epoch"),
-    )
+    if not isinstance(error, Mapping):
+        raise ProtocolError(f"error reply without an error object: {payload!r}")
+    return ErrorReply(reply_id, *_load(_REPLIES[ErrorReply], error))
 
 
 def raise_for_error(reply: Reply) -> Reply:

@@ -3,15 +3,8 @@
 :class:`BurstingFlowService` owns one live
 :class:`~repro.temporal.network.TemporalFlowNetwork` and serves
 versioned-JSON requests against it (see :mod:`repro.service.protocol`)
-over two transports on the *same* listening port:
-
-* **NDJSON over TCP** — one JSON object per line, pipelined replies in
-  request order (the primary, lowest-overhead transport;
-  :class:`repro.service.client.ServiceClient` speaks it);
-* **HTTP/1.1** — ``POST /query``, ``POST /batch``, ``POST /topk``,
-  ``POST /append`` (JSON request body), ``GET /metrics`` (snapshot),
-  ``GET /healthz``.  The transport is sniffed from the first bytes of
-  the connection.
+over NDJSON and HTTP on one port, through the shared front end
+(:mod:`repro.service.frontend`).
 
 The request path layers the three production concerns of this module's
 package: the epoch-keyed :class:`~repro.service.cache.ResultCache`
@@ -31,11 +24,9 @@ to a fresh :func:`repro.core.engine.find_bursting_flow` on that state.
 from __future__ import annotations
 
 import asyncio
-import json
 import time
-import urllib.parse
-from contextlib import asynccontextmanager
-from typing import Any, AsyncIterator
+from contextlib import asynccontextmanager, contextmanager
+from typing import Any, AsyncIterator, Iterator
 
 from repro.core.engine import (
     DEFAULT_ALGORITHM,
@@ -49,6 +40,7 @@ from repro.exceptions import ReproError
 from repro.flownet.algorithms.registry import ENGINE_KERNELS
 from repro.service.admission import AdmissionController
 from repro.service.cache import ResultCache
+from repro.service.frontend import listen
 from repro.service.metrics import ServiceMetrics
 from repro.service.protocol import (
     BATCH_PLANS,
@@ -102,6 +94,31 @@ def _reject_unknown_kernel(kernel: str) -> None:
     raise ReproError(
         f"unknown kernel {kernel!r}; known: {', '.join(ENGINE_KERNELS)}"
     )
+
+
+#: Requests that do work, so a draining server sheds them.
+_WORK_REQUESTS = (QueryRequest, BatchRequest, TopKRequest, AppendRequest, ScanRequest)
+
+
+def _stale(request_id: str, epoch: int, min_epoch: int) -> ErrorReply:
+    """The read-your-writes fence: this instance has not yet applied
+    every append the client observed."""
+    return ErrorReply(
+        request_id,
+        ERROR_STALE,
+        f"epoch {epoch} is behind required min_epoch {min_epoch}",
+        retry_after_ms=25,
+        epoch=epoch,
+    )
+
+
+def _failure(request_id: str, exc: Exception) -> ErrorReply:
+    """The typed reply for a solve that raised ``exc``."""
+    if isinstance(exc, (asyncio.TimeoutError, DeadlineExceededError)):
+        return ErrorReply(request_id, ERROR_TIMEOUT, "request deadline exceeded")
+    if isinstance(exc, ReproError):
+        return ErrorReply(request_id, ERROR_INVALID, str(exc))
+    return ErrorReply(request_id, ERROR_INTERNAL, f"{type(exc).__name__}: {exc}")
 
 
 class _ReadWriteLock:
@@ -238,48 +255,36 @@ class BurstingFlowService:
     async def handle_request(self, request: Request) -> Reply:
         """Dispatch one parsed request to its handler."""
         self.metrics.count_request(request.op)
-        if (
-            isinstance(
-                request,
-                (
-                    QueryRequest,
-                    BatchRequest,
-                    TopKRequest,
-                    AppendRequest,
-                    ScanRequest,
-                ),
+        try:
+            if self._draining and isinstance(request, _WORK_REQUESTS):
+                raise OverloadedError("server is draining", retry_after_ms=1000)
+            if isinstance(request, QueryRequest):
+                reply: Reply = await self._handle_query(request)
+            elif isinstance(request, BatchRequest):
+                reply = await self._handle_batch(request)
+            elif isinstance(request, TopKRequest):
+                reply = await self._handle_topk(request)
+            elif isinstance(request, AppendRequest):
+                reply = await self._handle_append(request)
+            elif isinstance(request, ScanRequest):
+                reply = await self._handle_scan(request)
+            elif isinstance(request, PatternsRequest):
+                reply = await self._handle_patterns(request)
+            elif isinstance(request, MetricsRequest):
+                reply = MetricsReply(id=request.id, snapshot=self.snapshot())
+            elif isinstance(request, PingRequest):
+                reply = PongReply(id=request.id, epoch=self.network.epoch)
+            elif isinstance(request, DrainRequest):
+                self._draining = True
+                reply = DrainReply(
+                    id=request.id, draining=True, inflight=self.admission.inflight
+                )
+            else:  # pragma: no cover - parse_request is exhaustive
+                reply = ErrorReply(request.id, ERROR_INVALID, "unknown request type")
+        except OverloadedError as exc:  # draining, or shed by admission
+            reply = ErrorReply(
+                request.id, ERROR_OVERLOADED, str(exc), retry_after_ms=exc.retry_after_ms
             )
-            and self._draining
-        ):
-            reply: Reply = ErrorReply(
-                request.id,
-                ERROR_OVERLOADED,
-                "server is draining",
-                retry_after_ms=1000,
-            )
-        elif isinstance(request, QueryRequest):
-            reply = await self._handle_query(request)
-        elif isinstance(request, BatchRequest):
-            reply = await self._handle_batch(request)
-        elif isinstance(request, TopKRequest):
-            reply = await self._handle_topk(request)
-        elif isinstance(request, AppendRequest):
-            reply = await self._handle_append(request)
-        elif isinstance(request, ScanRequest):
-            reply = await self._handle_scan(request)
-        elif isinstance(request, PatternsRequest):
-            reply = await self._handle_patterns(request)
-        elif isinstance(request, MetricsRequest):
-            reply = MetricsReply(id=request.id, snapshot=self.snapshot())
-        elif isinstance(request, PingRequest):
-            reply = PongReply(id=request.id, epoch=self.network.epoch)
-        elif isinstance(request, DrainRequest):
-            self._draining = True
-            reply = DrainReply(
-                id=request.id, draining=True, inflight=self.admission.inflight
-            )
-        else:  # pragma: no cover - parse_request is exhaustive
-            reply = ErrorReply(request.id, ERROR_INVALID, "unknown request type")
         if isinstance(reply, ErrorReply):
             self.metrics.count_error(reply.kind)
         return reply
@@ -325,6 +330,18 @@ class BurstingFlowService:
     # ------------------------------------------------------------------
     # Handlers
     # ------------------------------------------------------------------
+    @contextmanager
+    def _admitted(self) -> Iterator[None]:
+        """Hold one admission ticket; raises :class:`OverloadedError`
+        when admission control sheds the request."""
+        self.admission.admit()
+        self.metrics.set_queue_depth(self.admission.inflight)
+        try:
+            yield
+        finally:
+            self.admission.release()
+            self.metrics.set_queue_depth(self.admission.inflight)
+
     async def _handle_query(self, request: QueryRequest) -> Reply:
         started = time.perf_counter()
         algorithm = (request.algorithm or self.algorithm).lower()
@@ -355,31 +372,12 @@ class BurstingFlowService:
         except ReproError as exc:
             return ErrorReply(request.id, ERROR_INVALID, str(exc))
 
-        try:
-            self.admission.admit()
-        except OverloadedError as exc:
-            return ErrorReply(
-                request.id,
-                ERROR_OVERLOADED,
-                str(exc),
-                retry_after_ms=exc.retry_after_ms,
-            )
-        self.metrics.set_queue_depth(self.admission.inflight)
-        try:
+        with self._admitted():
             deadline = self.admission.deadline_for(request.timeout)
             async with self._lock.read():
                 epoch = self.network.epoch
                 if request.min_epoch is not None and epoch < request.min_epoch:
-                    # Read-your-writes fence: this instance has not yet
-                    # applied every append the client observed.
-                    return ErrorReply(
-                        request.id,
-                        ERROR_STALE,
-                        f"epoch {epoch} is behind required "
-                        f"min_epoch {request.min_epoch}",
-                        retry_after_ms=25,
-                        epoch=epoch,
-                    )
+                    return _stale(request.id, epoch, request.min_epoch)
                 key = (
                     epoch,
                     request.source,
@@ -418,18 +416,8 @@ class BurstingFlowService:
                         ),
                         timeout=remaining,
                     )
-                except (asyncio.TimeoutError, DeadlineExceededError):
-                    return ErrorReply(
-                        request.id, ERROR_TIMEOUT, "request deadline exceeded"
-                    )
-                except ReproError as exc:
-                    return ErrorReply(request.id, ERROR_INVALID, str(exc))
                 except Exception as exc:  # noqa: BLE001 - report, don't crash
-                    return ErrorReply(
-                        request.id,
-                        ERROR_INTERNAL,
-                        f"{type(exc).__name__}: {exc}",
-                    )
+                    return _failure(request.id, exc)
                 # Engines return (density, interval, flow_value) plus an
                 # optional trailing phase-seconds dict; unpack defensively
                 # so a custom engine backend without phases still works.
@@ -449,9 +437,6 @@ class BurstingFlowService:
                     epoch=epoch,
                     elapsed_ms=solve_elapsed * 1000.0,
                 )
-        finally:
-            self.admission.release()
-            self.metrics.set_queue_depth(self.admission.inflight)
 
     def _batch_key(
         self, epoch: int, source: Any, sink: Any, delta: int, plan: str
@@ -492,29 +477,12 @@ class BurstingFlowService:
                 f"got {request.plan!r}",
             )
 
-        try:
-            self.admission.admit()
-        except OverloadedError as exc:
-            return ErrorReply(
-                request.id,
-                ERROR_OVERLOADED,
-                str(exc),
-                retry_after_ms=exc.retry_after_ms,
-            )
-        self.metrics.set_queue_depth(self.admission.inflight)
-        try:
+        with self._admitted():
             deadline = self.admission.deadline_for(request.timeout)
             async with self._lock.read():
                 epoch = self.network.epoch
                 if request.min_epoch is not None and epoch < request.min_epoch:
-                    return ErrorReply(
-                        request.id,
-                        ERROR_STALE,
-                        f"epoch {epoch} is behind required "
-                        f"min_epoch {request.min_epoch}",
-                        retry_after_ms=25,
-                        epoch=epoch,
-                    )
+                    return _stale(request.id, epoch, request.min_epoch)
                 keys = [
                     self._batch_key(epoch, q.source, q.sink, q.delta, request.plan)
                     for q in queries
@@ -546,18 +514,8 @@ class BurstingFlowService:
                             ),
                             timeout=remaining,
                         )
-                    except (asyncio.TimeoutError, DeadlineExceededError):
-                        return ErrorReply(
-                            request.id, ERROR_TIMEOUT, "request deadline exceeded"
-                        )
-                    except ReproError as exc:
-                        return ErrorReply(request.id, ERROR_INVALID, str(exc))
                     except Exception as exc:  # noqa: BLE001 - report, don't crash
-                        return ErrorReply(
-                            request.id,
-                            ERROR_INTERNAL,
-                            f"{type(exc).__name__}: {exc}",
-                        )
+                        return _failure(request.id, exc)
                     for position, index in enumerate(misses):
                         answers[index] = raw[position]
                         self.cache.put(keys[index], raw[position])
@@ -585,35 +543,15 @@ class BurstingFlowService:
                     elapsed_ms=(time.perf_counter() - started) * 1000.0,
                     planner=planner,
                 )
-        finally:
-            self.admission.release()
-            self.metrics.set_queue_depth(self.admission.inflight)
 
     async def _handle_topk(self, request: TopKRequest) -> Reply:
         started = time.perf_counter()
-        try:
-            self.admission.admit()
-        except OverloadedError as exc:
-            return ErrorReply(
-                request.id,
-                ERROR_OVERLOADED,
-                str(exc),
-                retry_after_ms=exc.retry_after_ms,
-            )
-        self.metrics.set_queue_depth(self.admission.inflight)
-        try:
+        with self._admitted():
             deadline = self.admission.deadline_for(request.timeout)
             async with self._lock.read():
                 epoch = self.network.epoch
                 if request.min_epoch is not None and epoch < request.min_epoch:
-                    return ErrorReply(
-                        request.id,
-                        ERROR_STALE,
-                        f"epoch {epoch} is behind required "
-                        f"min_epoch {request.min_epoch}",
-                        retry_after_ms=25,
-                        epoch=epoch,
-                    )
+                    return _stale(request.id, epoch, request.min_epoch)
                 # The ranking depends on the whole pair list (dedup order
                 # included), so the reply is cached as one unit.
                 key = (epoch, "topk", request.pairs, request.delta, request.k)
@@ -631,18 +569,8 @@ class BurstingFlowService:
                             ),
                             timeout=remaining,
                         )
-                    except (asyncio.TimeoutError, DeadlineExceededError):
-                        return ErrorReply(
-                            request.id, ERROR_TIMEOUT, "request deadline exceeded"
-                        )
-                    except ReproError as exc:
-                        return ErrorReply(request.id, ERROR_INVALID, str(exc))
                     except Exception as exc:  # noqa: BLE001 - report, don't crash
-                        return ErrorReply(
-                            request.id,
-                            ERROR_INTERNAL,
-                            f"{type(exc).__name__}: {exc}",
-                        )
+                        return _failure(request.id, exc)
                     self.cache.put(key, raw)
                     self.metrics.observe_solve(
                         "planner", time.perf_counter() - started
@@ -664,9 +592,6 @@ class BurstingFlowService:
                     elapsed_ms=(time.perf_counter() - started) * 1000.0,
                     cached=cached,
                 )
-        finally:
-            self.admission.release()
-            self.metrics.set_queue_depth(self.admission.inflight)
 
     async def _handle_append(self, request: AppendRequest) -> Reply:
         applied: list[TemporalEdge] = []
@@ -714,29 +639,12 @@ class BurstingFlowService:
                 "mining is not enabled on this server "
                 "(start it with a pattern store)",
             )
-        try:
-            self.admission.admit()
-        except OverloadedError as exc:
-            return ErrorReply(
-                request.id,
-                ERROR_OVERLOADED,
-                str(exc),
-                retry_after_ms=exc.retry_after_ms,
-            )
-        self.metrics.set_queue_depth(self.admission.inflight)
-        try:
+        with self._admitted():
             deadline = self.admission.deadline_for(request.timeout)
             async with self._lock.read():
                 epoch = self.network.epoch
                 if request.min_epoch is not None and epoch < request.min_epoch:
-                    return ErrorReply(
-                        request.id,
-                        ERROR_STALE,
-                        f"epoch {epoch} is behind required "
-                        f"min_epoch {request.min_epoch}",
-                        retry_after_ms=25,
-                        epoch=epoch,
-                    )
+                    return _stale(request.id, epoch, request.min_epoch)
                 # A scan has durable side effects (it persists patterns),
                 # so it is never cached and scans are serialized among
                 # themselves: concurrent scans would race on the shared
@@ -759,18 +667,8 @@ class BurstingFlowService:
                             ),
                             timeout=remaining,
                         )
-                    except (asyncio.TimeoutError, DeadlineExceededError):
-                        return ErrorReply(
-                            request.id, ERROR_TIMEOUT, "request deadline exceeded"
-                        )
-                    except ReproError as exc:
-                        return ErrorReply(request.id, ERROR_INVALID, str(exc))
                     except Exception as exc:  # noqa: BLE001 - report, don't crash
-                        return ErrorReply(
-                            request.id,
-                            ERROR_INTERNAL,
-                            f"{type(exc).__name__}: {exc}",
-                        )
+                        return _failure(request.id, exc)
                 self.metrics.observe_solve(
                     "mining", time.perf_counter() - started
                 )
@@ -782,9 +680,6 @@ class BurstingFlowService:
                     epoch=outcome.epoch,
                     elapsed_ms=(time.perf_counter() - started) * 1000.0,
                 )
-        finally:
-            self.admission.release()
-            self.metrics.set_queue_depth(self.admission.inflight)
 
     async def _handle_patterns(self, request: PatternsRequest) -> Reply:
         if self.mining is None:
@@ -813,11 +708,33 @@ class BurstingFlowService:
         )
 
     # ------------------------------------------------------------------
-    # TCP / HTTP front end
+    # Front end (repro.service.frontend) hooks and lifecycle
     # ------------------------------------------------------------------
+    async def metrics_payload(self) -> dict[str, Any]:
+        """The ``GET /metrics`` body (counted as a metrics request)."""
+        self.metrics.count_request("metrics")
+        return self.snapshot()
+
+    def health_payload(self) -> dict[str, Any]:
+        """The ``GET /healthz`` body: drain state and network epoch."""
+        health = {
+            "ok": not self._draining,
+            "epoch": self.network.epoch,
+            "draining": self._draining,
+        }
+        if self.replica_id is not None:
+            health["replica"] = self.replica_id
+        return health
+
+    def drain_payload(self) -> dict[str, Any]:
+        """``POST /drain``: enter drain mode; the body acknowledges it."""
+        self.metrics.count_request("drain")
+        self._draining = True
+        return {"draining": True, "inflight": self.admission.inflight}
+
     async def start(self, host: str = "127.0.0.1", port: int = 0) -> tuple[str, int]:
         """Bind and start serving; returns the bound (host, port)."""
-        self._server = await asyncio.start_server(self._on_connection, host, port)
+        self._server = await listen(self, host, port)
         bound = self._server.sockets[0].getsockname()
         return bound[0], bound[1]
 
@@ -851,177 +768,3 @@ class BurstingFlowService:
 
     async def __aexit__(self, *exc_info: object) -> None:
         await self.stop()
-
-    async def _on_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        try:
-            first = await reader.readline()
-            if not first:
-                return
-            head = first.split(b" ", 1)[0]
-            if head in (b"GET", b"POST", b"HEAD", b"PUT", b"DELETE"):
-                await self._serve_http(first, reader, writer)
-                return
-            # NDJSON: the sniffed line is already the first request.
-            line = first
-            while line:
-                if line.strip():
-                    writer.write(await self.handle_raw(line))
-                    await writer.drain()
-                line = await reader.readline()
-        except (ConnectionResetError, BrokenPipeError):
-            pass
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError):
-                pass
-            except asyncio.CancelledError:
-                # stop() closed the listener while this connection was
-                # draining; the transport is already gone.
-                pass
-
-    async def _serve_http(
-        self,
-        request_line: bytes,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-    ) -> None:
-        try:
-            method, target, _ = request_line.decode("latin-1").split(" ", 2)
-        except ValueError:
-            _http_respond(writer, 400, {"error": "malformed request line"})
-            await writer.drain()
-            return
-        content_length = 0
-        while True:
-            header = await reader.readline()
-            if header in (b"\r\n", b"\n", b""):
-                break
-            name, _, value = header.decode("latin-1").partition(":")
-            if name.strip().lower() == "content-length":
-                try:
-                    content_length = int(value.strip())
-                except ValueError:
-                    _http_respond(writer, 400, {"error": "bad Content-Length"})
-                    await writer.drain()
-                    return
-        body = await reader.readexactly(content_length) if content_length else b""
-
-        if method == "GET" and target in ("/metrics", "/metrics/"):
-            self.metrics.count_request("metrics")
-            _http_respond(writer, 200, self.snapshot())
-        elif method == "GET" and target in ("/healthz", "/healthz/"):
-            health = {
-                "ok": not self._draining,
-                "epoch": self.network.epoch,
-                "draining": self._draining,
-            }
-            if self.replica_id is not None:
-                health["replica"] = self.replica_id
-            _http_respond(writer, 200 if health["ok"] else 503, health)
-        elif method == "POST" and target in ("/drain", "/drain/"):
-            self.metrics.count_request("drain")
-            self._draining = True
-            _http_respond(
-                writer,
-                200,
-                {"draining": True, "inflight": self.admission.inflight},
-            )
-        elif method == "GET" and (
-            target in ("/patterns", "/patterns/")
-            or target.startswith("/patterns?")
-        ):
-            message = _patterns_message_from_target(target)
-            payload = json.loads(await self.handle_raw(encode(message)))
-            status = 200 if payload.get("ok") else _http_status(payload)
-            _http_respond(writer, status, payload)
-        elif method == "POST" and target in (
-            "/query",
-            "/append",
-            "/batch",
-            "/topk",
-            "/scan",
-            "/patterns",
-            "/query/",
-            "/append/",
-            "/batch/",
-            "/topk/",
-            "/scan/",
-            "/patterns/",
-        ):
-            payload = json.loads(await self.handle_raw(body))
-            status = 200 if payload.get("ok") else _http_status(payload)
-            _http_respond(writer, status, payload)
-        else:
-            _http_respond(
-                writer,
-                404,
-                {"error": f"no route {method} {target}"},
-            )
-        await writer.drain()
-
-
-def _patterns_message_from_target(target: str) -> dict[str, Any]:
-    """Translate ``GET /patterns?...`` into a protocol ``patterns`` message.
-
-    Query-string values arrive as strings; numeric filters are coerced
-    (``since``/``until``/``limit`` to int, ``min_density`` to float) and
-    left as-is otherwise so :func:`parse_request` reports the type error
-    through the ordinary typed-reply path.
-    """
-    message: dict[str, Any] = {"v": 1, "id": "http", "op": "patterns"}
-    query = urllib.parse.urlsplit(target).query
-    for key, values in urllib.parse.parse_qs(query).items():
-        value: Any = values[-1]
-        if key in ("since", "until", "limit"):
-            try:
-                value = int(value)
-            except ValueError:
-                pass
-        elif key == "min_density":
-            try:
-                value = float(value)
-            except ValueError:
-                pass
-        message[key] = value
-    return message
-
-
-_HTTP_REASONS = {
-    200: "OK",
-    400: "Bad Request",
-    404: "Not Found",
-    408: "Request Timeout",
-    429: "Too Many Requests",
-    500: "Internal Server Error",
-    503: "Service Unavailable",
-}
-
-
-def _http_status(payload: dict[str, Any]) -> int:
-    kind = (payload.get("error") or {}).get("kind")
-    if kind == ERROR_OVERLOADED:
-        return 429
-    if kind == ERROR_TIMEOUT:
-        return 408
-    if kind == ERROR_INTERNAL:
-        return 500
-    if kind == ERROR_STALE:
-        return 503
-    return 400
-
-
-def _http_respond(
-    writer: asyncio.StreamWriter, status: int, payload: dict[str, Any]
-) -> None:
-    body = json.dumps(payload).encode("utf-8")
-    head = (
-        f"HTTP/1.1 {status} {_HTTP_REASONS.get(status, 'OK')}\r\n"
-        f"Content-Type: application/json\r\n"
-        f"Content-Length: {len(body)}\r\n"
-        f"Connection: close\r\n\r\n"
-    )
-    writer.write(head.encode("latin-1") + body)

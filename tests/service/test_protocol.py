@@ -1,23 +1,44 @@
 """Tests for the versioned JSON wire protocol."""
 
 import json
+import typing
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.service.protocol import (
+    BATCH_PLANS,
+    ERROR_KINDS,
     PROTOCOL_VERSION,
+    SCAN_PERSIST_MODES,
     AppendReply,
     AppendRequest,
+    BatchAnswer,
+    BatchReply,
+    BatchRequest,
     DeadlineExceededError,
+    DrainReply,
+    DrainRequest,
     ErrorReply,
+    MetricsReply,
     MetricsRequest,
     OverloadedError,
+    PatternsReply,
+    PatternsRequest,
     PingRequest,
     PongReply,
     ProtocolError,
     QueryReply,
     QueryRequest,
     RemoteServiceError,
+    Reply,
+    Request,
+    ScanReply,
+    ScanRequest,
+    TopKBurst,
+    TopKReply,
+    TopKRequest,
     encode,
     parse_reply,
     parse_request,
@@ -178,3 +199,121 @@ class TestRaiseForError:
     def test_internal_raises_remote(self):
         with pytest.raises(RemoteServiceError):
             raise_for_error(ErrorReply("", "internal", "boom"))
+
+
+# ----------------------------------------------------------------------
+# Round-trip property over every message type
+# ----------------------------------------------------------------------
+ids = st.text(max_size=8)
+nodes = st.one_of(st.text(max_size=6), st.integers())
+deltas = st.integers(min_value=1)
+counts = st.integers(min_value=0)
+numbers = st.floats(allow_nan=False, allow_infinity=False)
+timeouts = st.none() | st.floats(min_value=1e-3, max_value=1e6)
+fences = st.none() | counts
+texts = st.text(max_size=10)
+intervals = st.tuples(st.integers(), st.integers())
+pairs = st.lists(st.tuples(nodes, nodes), min_size=1, max_size=4).map(tuple)
+json_values = st.one_of(st.integers(), numbers, texts, st.booleans(), st.none())
+json_objects = st.dictionaries(st.text(max_size=6), json_values, max_size=4)
+
+REQUESTS = {
+    QueryRequest: st.builds(
+        QueryRequest, id=ids, source=nodes, sink=nodes, delta=deltas,
+        algorithm=st.none() | texts, kernel=st.none() | texts,
+        transform=st.none() | texts, timeout=timeouts, min_epoch=fences,
+    ),
+    BatchRequest: st.builds(
+        BatchRequest, id=ids,
+        queries=st.lists(st.tuples(nodes, nodes, deltas), min_size=1, max_size=4).map(tuple),
+        plan=st.sampled_from(BATCH_PLANS), timeout=timeouts, min_epoch=fences,
+    ),
+    TopKRequest: st.builds(
+        TopKRequest, id=ids, pairs=pairs, delta=deltas, k=deltas,
+        timeout=timeouts, min_epoch=fences,
+    ),
+    AppendRequest: st.builds(
+        AppendRequest, id=ids,
+        edges=st.lists(st.tuples(nodes, nodes, st.integers(), numbers), max_size=4).map(tuple),
+    ),
+    ScanRequest: st.builds(
+        ScanRequest, id=ids, delta=deltas, pairs=st.none() | pairs,
+        top=st.none() | deltas, min_volume=st.none() | st.floats(min_value=0, max_value=1e9),
+        persist=st.sampled_from(SCAN_PERSIST_MODES), timeout=timeouts, min_epoch=fences,
+    ),
+    PatternsRequest: st.builds(
+        PatternsRequest, id=ids, source=st.none() | nodes, sink=st.none() | nodes,
+        since=st.none() | st.integers(), until=st.none() | st.integers(),
+        min_density=st.none() | numbers, limit=st.none() | deltas,
+    ),
+    MetricsRequest: st.builds(MetricsRequest, id=ids),
+    PingRequest: st.builds(PingRequest, id=ids),
+    DrainRequest: st.builds(DrainRequest, id=ids),
+}
+
+REPLIES = {
+    QueryReply: st.builds(
+        QueryReply, id=ids, density=numbers, interval=st.none() | intervals,
+        flow_value=numbers, cached=st.booleans(), epoch=counts, elapsed_ms=numbers,
+    ),
+    BatchReply: st.builds(
+        BatchReply, id=ids,
+        results=st.lists(
+            st.builds(
+                BatchAnswer, density=numbers, interval=st.none() | intervals,
+                flow_value=numbers, cached=st.booleans(),
+            ),
+            max_size=3,
+        ).map(tuple),
+        epoch=counts, elapsed_ms=numbers, planner=json_objects,
+    ),
+    TopKReply: st.builds(
+        TopKReply, id=ids,
+        entries=st.lists(
+            st.builds(
+                TopKBurst, source=nodes, sink=nodes, delta=deltas, density=numbers,
+                interval=intervals, flow_value=numbers,
+            ),
+            max_size=3,
+        ).map(tuple),
+        epoch=counts, elapsed_ms=numbers, cached=st.booleans(),
+    ),
+    AppendReply: st.builds(
+        AppendReply, id=ids, appended=counts, epoch=counts, invalidated=counts
+    ),
+    ScanReply: st.builds(
+        ScanReply, id=ids, new_ids=st.lists(texts, max_size=3).map(tuple),
+        deduped=counts, funnel=json_objects, epoch=counts, elapsed_ms=numbers,
+    ),
+    PatternsReply: st.builds(
+        PatternsReply, id=ids, patterns=st.lists(json_objects, max_size=3).map(tuple)
+    ),
+    # A snapshot shaped exactly like another reply's result would be
+    # read as that reply; real snapshots never are.
+    MetricsReply: st.builds(
+        MetricsReply, id=ids,
+        snapshot=st.dictionaries(
+            st.text(max_size=6).map(lambda key: "m_" + key), json_values, max_size=4
+        ),
+    ),
+    PongReply: st.builds(PongReply, id=ids, epoch=counts),
+    DrainReply: st.builds(DrainReply, id=ids, draining=st.booleans(), inflight=counts),
+    ErrorReply: st.builds(
+        ErrorReply, id=ids, kind=st.sampled_from(sorted(ERROR_KINDS)), message=texts,
+        retry_after_ms=st.none() | counts, epoch=st.none() | st.integers(),
+    ),
+}
+
+
+class TestRoundTripProperty:
+    def test_strategies_cover_every_message_type(self):
+        assert set(REQUESTS) == set(typing.get_args(Request))
+        assert set(REPLIES) == set(typing.get_args(Reply))
+
+    @given(request=st.one_of(*REQUESTS.values()))
+    def test_every_request_round_trips(self, request):
+        assert parse_request(encode(request_payload(request))) == request
+
+    @given(reply=st.one_of(*REPLIES.values()))
+    def test_every_reply_round_trips(self, reply):
+        assert parse_reply(encode(reply_payload(reply))) == reply
