@@ -23,7 +23,7 @@ Three experiments, selected with ``--experiment``:
   query sweeps under every arena kernel, with ``adaptive``'s ratio
   against the best fixed kernel per dataset), **large_window** (cold
   solves on each dataset's widest candidate windows — the regime the
-  ``vectorized``/``push_relabel`` kernels were built for), and **shm**
+  ``push_relabel`` kernel was built for), and **shm**
   (an append-heavy service microbench comparing the shared-memory edge
   log against per-epoch pool rebuilds).
 
@@ -252,9 +252,8 @@ def run_transform_benchmark(
 # --experiment kernels: the specialised-kernel matrix (BENCH_PR9)
 # ----------------------------------------------------------------------
 #: Every kernel that runs on the persistent arena (order = report order).
-ARENA_KERNEL_MATRIX = ("persistent", "vectorized", "push_relabel", "adaptive")
-#: Specialised kernels count as "in regime" on windows at least this big
-#: (matches repro.flownet.algorithms.selector.VECTORIZED_ARCS).
+ARENA_KERNEL_MATRIX = ("persistent", "push_relabel", "adaptive")
+#: Specialised kernels count as "in regime" on windows at least this big.
 FAVORABLE_ARCS = 24_000
 #: Windows ranked by span; this many of the widest are timed cold.
 LARGE_WINDOWS_PER_DATASET = 4
@@ -369,11 +368,11 @@ def _shm_section(shm_cycles: int, shm_scale: float):
             network, processes=2, mp_context="fork", shared=shared
         )
         try:
-            await pool.answer(source, sink, delta, "bfq*", None)  # warm
+            await pool.answer(source, sink, delta, "bfq*")  # warm
             warm_start = time.perf_counter()
             warm_solves = 3
             for _ in range(warm_solves):
-                await pool.answer(source, sink, delta, "bfq*", None)
+                await pool.answer(source, sink, delta, "bfq*")
             warm_s = (time.perf_counter() - warm_start) / warm_solves
             tau = network.t_max
             cycle_start = time.perf_counter()
@@ -385,7 +384,7 @@ def _shm_section(shm_cycles: int, shm_scale: float):
                 for edge in fresh:
                     network.add_edge(edge)
                 pool.mark_stale(fresh if shared else None)
-                await pool.answer(source, sink, delta, "bfq*", None)
+                await pool.answer(source, sink, delta, "bfq*")
             cycles_s = time.perf_counter() - cycle_start
             refresh_s = max(cycles_s - shm_cycles * warm_s, 0.0) / shm_cycles
             return {
@@ -439,8 +438,7 @@ def run_kernels_benchmark(
         ),
         "baseline": "persistent (flat-array Dinic) / pool rebuild per epoch",
         "candidate": (
-            "vectorized + push_relabel + adaptive kernels / shared-memory "
-            "edge log"
+            "push_relabel + adaptive kernels / shared-memory edge log"
         ),
         "config": {
             "datasets": list(datasets),

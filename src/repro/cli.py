@@ -286,9 +286,9 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help=(
             "comma-separated backend subset of "
-            "bfq,bfq-skel,bfq+,bfq*,vectorized,push_relabel,adaptive,"
+            "bfq,bfq-skel,bfq+,bfq*,push_relabel,adaptive,"
             "planner,naive,networkx,service,"
-            "cluster,mining (vectorized/push_relabel/adaptive are bfq* "
+            "cluster,mining (push_relabel/adaptive are bfq* "
             "pinned to the specialised maxflow kernels; cluster boots a "
             "live 2-replica cluster per "
             "trial and mining persists + replays a pattern store per "
@@ -339,12 +339,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="bfq*",
         choices=["bfq", "bfq+", "bfq*"],
         help="default solution for requests that name none",
-    )
-    serve.add_argument(
-        "--kernel",
-        default=None,
-        choices=list(ENGINE_KERNELS),
-        help="default maxflow kernel for bfq+/bfq*",
     )
     serve.add_argument(
         "--processes",
@@ -429,12 +423,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="bfq*",
         choices=["bfq", "bfq+", "bfq*"],
         help="default solution for requests that name none",
-    )
-    cluster.add_argument(
-        "--kernel",
-        default=None,
-        choices=list(ENGINE_KERNELS),
-        help="default maxflow kernel for bfq+/bfq*",
     )
     cluster.add_argument(
         "--cache-capacity",
@@ -893,7 +881,6 @@ def _run_serve(args: argparse.Namespace) -> int:
         service = BurstingFlowService(
             network,
             algorithm=args.algorithm,
-            kernel=args.kernel,
             processes=args.processes,
             mp_context=args.mp_context,
             cache_capacity=args.cache_capacity,
@@ -964,33 +951,18 @@ def _run_cluster(args: argparse.Namespace) -> int:
             seed.close()
 
     async def _serve() -> int:
-        replicas = []
-        for index in range(args.replicas):
-            replica_id = f"r{index}"
-            if args.replica_mode == "process":
-                replicas.append(
-                    ProcessReplica(
-                        replica_id,
-                        log_path,
-                        snapshots=args.snapshots,
-                        cache_capacity=args.cache_capacity,
-                        max_pending=args.max_pending,
-                        algorithm=args.algorithm,
-                        kernel=args.kernel,
-                    )
-                )
-            else:
-                replicas.append(
-                    InlineReplica(
-                        replica_id,
-                        log_path,
-                        snapshots=args.snapshots,
-                        cache_capacity=args.cache_capacity,
-                        max_pending=args.max_pending,
-                        algorithm=args.algorithm,
-                        kernel=args.kernel,
-                    )
-                )
+        shape = ProcessReplica if args.replica_mode == "process" else InlineReplica
+        replicas = [
+            shape(
+                f"r{index}",
+                log_path,
+                snapshots=args.snapshots,
+                cache_capacity=args.cache_capacity,
+                max_pending=args.max_pending,
+                algorithm=args.algorithm,
+            )
+            for index in range(args.replicas)
+        ]
         coordinator = ClusterCoordinator(
             log_path,
             replicas,

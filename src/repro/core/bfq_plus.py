@@ -63,8 +63,7 @@ def bfq_plus(
         kernel: maxflow kernel for the incremental state — any name in
             :data:`repro.flownet.algorithms.registry.ENGINE_KERNELS`:
             ``"persistent"`` (flat-array Dinic on a maintained CSR residual
-            arena), ``"vectorized"`` (numpy frontier BFS), ``"push_relabel"``
-            (FIFO preflow for dense windows), ``"adaptive"`` (per-window
+            arena), ``"push_relabel"`` (FIFO preflow for dense windows), ``"adaptive"`` (per-window
             choice from observed timings), or ``"object"`` (the Arc-walking
             engine).
         transform: edge-inclusion backend — ``"skeleton"`` (one compiled

@@ -110,8 +110,8 @@ def find_bursting_flow(
             enumeration) or ``"networkx"`` (BFQ with NetworkX Maxflow).
         kernel: maxflow kernel for the incremental solutions — any name
             in :data:`repro.flownet.algorithms.registry.ENGINE_KERNELS`:
-            ``"persistent"`` (flat-array, default), ``"vectorized"``
-            (numpy BFS phases), ``"push_relabel"`` (dense-window preflow),
+            ``"persistent"`` (flat-array, default), ``"push_relabel"``
+            (dense-window preflow),
             ``"adaptive"`` (per-window selection) or ``"object"``; only
             valid with ``algorithm`` in ``"bfq+"``/``"bfq*"``.
         transform: window-transform strategy — ``"skeleton"`` (compile the

@@ -48,7 +48,6 @@ _WITHDRAW_TOLERANCE = 1e-6
 #: Maxflow kernel driving the incremental moves.  ``"persistent"`` runs the
 #: array-only resumable Dinic on the attached CSR residual arena (built
 #: lazily on the first run, maintained incrementally afterwards);
-#: ``"vectorized"`` swaps the phase BFS for numpy frontier gathers;
 #: ``"push_relabel"`` floods dense short windows with a FIFO preflow;
 #: ``"adaptive"`` picks among them per run from observed timings; and
 #: ``"object"`` is the pre-arena engine walking ``Arc`` objects.  The full

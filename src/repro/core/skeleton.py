@@ -414,7 +414,7 @@ class SkeletonWindow:
         """Run an arena kernel on this window's arena.
 
         ``kernel`` names any arena kernel (``"persistent"``,
-        ``"vectorized"``, ``"push_relabel"``, ``"adaptive"``); the engine's
+        ``"push_relabel"``, ``"adaptive"``); the engine's
         ``"object"`` kernel never reaches here — skeleton windows are
         detached arenas with no object graph to walk.
         """

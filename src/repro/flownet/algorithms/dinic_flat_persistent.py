@@ -44,16 +44,15 @@ workload (BENCH_PR4.json: same datasets, BFQ end-to-end) removes that too
 transform by 4.1x aggregate (per-dataset 2.8-4.2x), with BFQ+/BFQ* no
 slower on any dataset (1.05-1.87x).
 
-This kernel is no longer alone on the arena: BENCH_PR9.json (the
-``kernels`` experiment) races it against the ``vectorized`` numpy Dinic
-and the ``push_relabel`` flat preflow on the same residual state.  On
-the standard EXP-3 workload every candidate window is small and this
-kernel remains the fastest fixed choice — which is why it stays the
-default and why the ``adaptive`` selector routes small windows here.
-The specialised kernels only pay off on large windows (roughly >= 24k
-transformed arcs, e.g. prosper at --large-scale 3), where they reach
-1.3-2x over this kernel on cold solves.  See
-:mod:`repro.flownet.algorithms.selector` and docs/algorithms.md.
+This kernel is not alone on the arena: BENCH_PR9.json (the ``kernels``
+experiment) races it against the ``push_relabel`` flat preflow on the
+same residual state.  On the standard EXP-3 workload every candidate
+window is small and this kernel remains the fastest fixed choice — which
+is why it stays the default and why the ``adaptive`` selector routes
+small windows here.  Push-relabel only pays off on large dense windows
+(e.g. prosper at --large-scale 3), where it reaches up to 2.4x over this
+kernel on cold solves.  See :mod:`repro.flownet.algorithms.selector` and
+docs/algorithms.md.
 
 The computed flow *value*, the certified min cut, and the arena/object
 byte-equivalence all match :func:`~repro.flownet.algorithms.dinic.dinic`
@@ -256,10 +255,8 @@ def run_blocking_flow(
 ) -> tuple[float, int, bool]:
     """One blocking-flow phase over an admissible (sink-rooted) level graph.
 
-    Shared by the persistent kernel and the vectorized kernel — the levels
-    may come from the scalar early-stopping BFS or from the numpy
-    frontier-at-a-time BFS; the DFS below only needs ``level[head] ==
-    level[node] - 1`` admissibility.  Mutates ``caps`` / ``iters`` /
+    The levels come from the early-stopping BFS; the DFS below only
+    needs ``level[head] == level[node] - 1`` admissibility.  Mutates ``caps`` / ``iters`` /
     ``level`` in place, appends every modified slot to ``touched`` and
     returns ``(gained, paths, hit_bound)`` where ``hit_bound`` reports
     that the accumulated gain reached ``remaining_bound`` (pass

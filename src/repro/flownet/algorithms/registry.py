@@ -6,8 +6,8 @@ solutions", Section 3.1).  The registry gives benches, tests and the engine
 a single place to resolve solver names.
 
 It is also the single source of truth for the **engine kernels** — the
-``kernel=`` values accepted by BFQ+/BFQ*, the CLI, the service and the
-cluster (:data:`ENGINE_KERNELS`).  Every consumer validates through
+``kernel=`` values accepted by BFQ+/BFQ*, the ``query``/``scan`` CLI
+commands and the differential oracle (:data:`ENGINE_KERNELS`).  Every consumer validates through
 :func:`validate_kernel`, so adding a kernel here is the *only* edit needed
 for it to be accepted end to end.
 """
@@ -54,13 +54,11 @@ RESUMABLE_SOLVERS: frozenset[str] = frozenset(
 
 
 #: Engine kernels, in documentation order.  ``persistent`` is the flat
-#: resumable arena Dinic, ``vectorized`` its numpy frontier-at-a-time
-#: variant, ``push_relabel`` the flat FIFO/gap push-relabel specialised
-#: for dense short-window arenas, ``adaptive`` the per-window selector
-#: over the three, and ``object`` the original object-graph walker.
+#: resumable arena Dinic, ``push_relabel`` the flat FIFO/gap push-relabel
+#: specialised for dense short-window arenas, ``adaptive`` the per-window
+#: selector over the two, and ``object`` the original object-graph walker.
 ENGINE_KERNELS: tuple[str, ...] = (
     "persistent",
-    "vectorized",
     "push_relabel",
     "adaptive",
     "object",
@@ -72,7 +70,7 @@ DEFAULT_ENGINE_KERNEL = "persistent"
 #: Kernels that run on a :class:`~repro.flownet.residual.ResidualArena`
 #: (attached or detached) rather than the object graph.
 ARENA_KERNELS: frozenset[str] = frozenset(
-    {"persistent", "vectorized", "push_relabel", "adaptive"}
+    {"persistent", "push_relabel", "adaptive"}
 )
 
 

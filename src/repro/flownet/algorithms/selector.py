@@ -27,7 +27,6 @@ import time
 from repro.flownet.algorithms.base import MaxflowRun
 from repro.flownet.algorithms.dinic import dinic
 from repro.flownet.algorithms.dinic_flat_persistent import arena_maxflow
-from repro.flownet.algorithms.dinic_vectorized import arena_maxflow_vectorized
 from repro.flownet.algorithms.push_relabel_flat import arena_push_relabel
 from repro.flownet.network import FlowNetwork
 from repro.flownet.residual import ResidualArena
@@ -35,15 +34,12 @@ from repro.flownet.residual import ResidualArena
 #: The concrete arena kernels ``adaptive`` chooses between.
 ARENA_SOLVERS = {
     "persistent": arena_maxflow,
-    "vectorized": arena_maxflow_vectorized,
     "push_relabel": arena_push_relabel,
 }
 
-#: Below this arc count the specialised kernels' per-run setup (tensor
-#: build / capacity localisation) dominates any win — always persistent.
+#: Below this arc count push-relabel's per-run setup (capacity
+#: localisation) dominates any win — always persistent.
 SMALL_ARENA_ARCS = 3_000
-#: From here up the python BFS dominates and the numpy frontier pays off.
-VECTORIZED_ARCS = 24_000
 #: Densest-window heuristic: average arc-per-node degree at which the
 #: preflow wave beats path-at-a-time augmentation on short windows.
 DENSE_DEGREE = 6.0
@@ -70,14 +66,9 @@ class KernelSelector:
     # ------------------------------------------------------------------
     def eligible(self, nodes: int, arcs: int) -> list[str]:
         """Kernels worth considering for an arena of this shape."""
-        if arcs < SMALL_ARENA_ARCS:
-            return ["persistent"]
-        kernels = ["persistent"]
-        if nodes and arcs / nodes >= DENSE_DEGREE:
-            kernels.append("push_relabel")
-        if arcs >= VECTORIZED_ARCS:
-            kernels.append("vectorized")
-        return kernels
+        if arcs >= SMALL_ARENA_ARCS and nodes and arcs / nodes >= DENSE_DEGREE:
+            return ["persistent", "push_relabel"]
+        return ["persistent"]
 
     def choose(self, nodes: int, arcs: int) -> str:
         """Pick a kernel for one solve and count the choice."""

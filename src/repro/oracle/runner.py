@@ -68,11 +68,6 @@ def _bfq_skeleton(network, query, **kwargs) -> BurstingFlowResult:
     return bfq(network, query, transform="skeleton", **kwargs)
 
 
-def _bfq_star_vectorized(network, query, **kwargs) -> BurstingFlowResult:
-    """BFQ* pinned to the numpy-BFS vectorized Dinic kernel."""
-    return bfq_star(network, query, kernel="vectorized", **kwargs)
-
-
 def _bfq_star_push_relabel(network, query, **kwargs) -> BurstingFlowResult:
     """BFQ* pinned to the flat FIFO push-relabel kernel."""
     return bfq_star(network, query, kernel="push_relabel", **kwargs)
@@ -94,9 +89,8 @@ BACKENDS: Mapping[str, Callable[..., BurstingFlowResult]] = {
     "bfq+": bfq_plus,
     "bfq*": bfq_star,
     # BFQ* pinned to each specialised maxflow kernel, so every fuzz case
-    # differential-checks the vectorized Dinic, the flat push-relabel and
-    # the adaptive selector against the persistent-kernel answers above.
-    "vectorized": _bfq_star_vectorized,
+    # differential-checks the flat push-relabel and the adaptive selector
+    # against the persistent-kernel answers above.
     "push_relabel": _bfq_star_push_relabel,
     "adaptive": _bfq_star_adaptive,
     # The multi-query planner, exercised with a duplicate of the query and
@@ -142,7 +136,6 @@ PLAN_BACKENDS: tuple[str, ...] = (
     "bfq-skel",
     "bfq+",
     "bfq*",
-    "vectorized",
     "push_relabel",
     "adaptive",
     "planner",

@@ -10,8 +10,7 @@ pipeline requests on one connection.
 Requests (``op`` selects the type)::
 
     {"v": 1, "id": "q1", "op": "query", "source": "s", "sink": "t",
-     "delta": 3, "algorithm": "bfq*", "kernel": "persistent",
-     "transform": "skeleton", "timeout": 5.0}
+     "delta": 3, "algorithm": "bfq*", "timeout": 5.0}
     {"v": 1, "id": "b1", "op": "batch", "plan": "shared",
      "queries": [["s", "t", 3], ["s", "t", 4], ...]}
     {"v": 1, "id": "k1", "op": "topk", "delta": 3, "k": 10,
@@ -76,6 +75,9 @@ How the bytes are derived:
 * two exceptions: a :class:`MetricsReply`'s ``result`` is the snapshot
   itself, and an :class:`ErrorReply` nests its fields under ``error``,
   omitting ``None``.
+
+Parsing reads only the fields a message declares; any other key is
+ignored, so a request written against an older field set still parses.
 
 A reply's type is recovered from its ``result`` keys: the reply class
 whose field names they are, exactly; any other object is a metrics
@@ -407,8 +409,6 @@ class QueryRequest:
     sink: NodeId = wire(NODE)
     delta: int = wire(POSITIVE_INT)
     algorithm: str | None = wire(TEXT, None)
-    kernel: str | None = wire(TEXT, None)
-    transform: str | None = wire(TEXT, None)
     timeout: float | None = wire(POSITIVE_NUMBER, None)
     min_epoch: int | None = wire(NON_NEGATIVE_INT, None)
 

@@ -88,6 +88,25 @@ def _solve_batch_on(
     )
 
 
+def _solve_on(
+    network: TemporalFlowNetwork,
+    source: NodeId,
+    sink: NodeId,
+    delta: int,
+    algorithm: str,
+) -> RawAnswer:
+    """Answer one query on ``network`` with the default engine."""
+    result = find_bursting_flow(
+        network, BurstingFlowQuery(source, sink, delta), algorithm=algorithm
+    )
+    return (
+        result.density,
+        result.interval,
+        result.flow_value,
+        result.stats.phase_seconds(),
+    )
+
+
 def _solve_topk_on(
     network: TemporalFlowNetwork,
     pairs: tuple[tuple[NodeId, NodeId], ...],
@@ -143,29 +162,12 @@ def _catch_up() -> None:
 
 
 def _solve_one(
-    source: NodeId,
-    sink: NodeId,
-    delta: int,
-    algorithm: str,
-    kernel: str | None,
-    transform: str | None,
+    source: NodeId, sink: NodeId, delta: int, algorithm: str
 ) -> RawAnswer:
     """Worker task: one full engine solve on the installed network."""
     assert _WORKER_NETWORK is not None, "worker started outside the service"
     _catch_up()
-    result = find_bursting_flow(
-        _WORKER_NETWORK,
-        BurstingFlowQuery(source, sink, delta),
-        algorithm=algorithm,
-        kernel=kernel,
-        transform=transform,
-    )
-    return (
-        result.density,
-        result.interval,
-        result.flow_value,
-        result.stats.phase_seconds(),
-    )
+    return _solve_on(_WORKER_NETWORK, source, sink, delta, algorithm)
 
 
 def _solve_batch(
@@ -312,13 +314,9 @@ class ProcessEnginePool:
         sink: NodeId,
         delta: int,
         algorithm: str,
-        kernel: str | None,
-        transform: str | None = None,
     ) -> RawAnswer:
         """Solve one query on a worker; survives one pool crash."""
-        return await self._run(
-            _solve_one, source, sink, delta, algorithm, kernel, transform
-        )
+        return await self._run(_solve_one, source, sink, delta, algorithm)
 
     async def answer_batch(
         self,
@@ -393,16 +391,12 @@ class InlineEngine:
         sink: NodeId,
         delta: int,
         algorithm: str,
-        kernel: str | None,
-        transform: str | None = None,
     ) -> RawAnswer:
         """Solve one query on a worker thread."""
         loop = asyncio.get_running_loop()
         return await loop.run_in_executor(
             self._pool,
-            lambda: _solve_inline(
-                self._network, source, sink, delta, algorithm, kernel, transform
-            ),
+            lambda: _solve_on(self._network, source, sink, delta, algorithm),
         )
 
     async def answer_batch(
@@ -436,27 +430,3 @@ class InlineEngine:
     def close(self) -> None:
         """Shut the thread pool down."""
         self._pool.shutdown(wait=False, cancel_futures=True)
-
-
-def _solve_inline(
-    network: TemporalFlowNetwork,
-    source: NodeId,
-    sink: NodeId,
-    delta: int,
-    algorithm: str,
-    kernel: str | None,
-    transform: str | None,
-) -> RawAnswer:
-    result = find_bursting_flow(
-        network,
-        BurstingFlowQuery(source, sink, delta),
-        algorithm=algorithm,
-        kernel=kernel,
-        transform=transform,
-    )
-    return (
-        result.density,
-        result.interval,
-        result.flow_value,
-        result.stats.phase_seconds(),
-    )

@@ -1,8 +1,8 @@
 """Property and agreement tests for the specialised maxflow kernels.
 
-``kernel="vectorized"`` (numpy phase-BFS Dinic), ``kernel="push_relabel"``
-(flat FIFO preflow) and ``kernel="adaptive"`` (per-window selection) all
-run on the *same* persistent residual arena as ``kernel="persistent"``,
+``kernel="push_relabel"`` (flat FIFO preflow) and ``kernel="adaptive"``
+(per-window selection) both run on the *same* persistent residual arena
+as ``kernel="persistent"``,
 and must be interchangeable mid-stream: any kernel may pick up the arena
 another kernel left behind.  Hypothesis drives random ``extend_end`` /
 ``advance_start`` / ``run_maxflow`` interleavings against an
@@ -10,8 +10,8 @@ object-graph twin and asserts, after every step:
 
 * value parity — all kernels report the same maximum flow;
 * mirror parity — the arena still byte-mirrors the object graph
-  (``ResidualArena.mirrors``), i.e. the numpy/preflow kernels wrote
-  their residual updates back exactly like the scalar kernel does;
+  (``ResidualArena.mirrors``), i.e. the preflow kernel wrote its
+  residual updates back exactly like the Dinic kernel does;
 * the executed kernel is stamped on the run (``MaxflowRun.kernel``), and
   under ``adaptive`` it is always one of the real arena kernels.
 
@@ -28,13 +28,13 @@ from repro.core.bfq_star import bfq_star
 from repro.core.incremental import IncrementalTransformedNetwork
 from repro.core.query import BurstingFlowQuery
 from repro.flownet.algorithms.registry import ARENA_KERNELS, ENGINE_KERNELS
-from repro.flownet.algorithms.selector import KernelSelector
+from repro.flownet.algorithms.selector import DENSE_DEGREE, KernelSelector
 from tests.core.test_persistent_kernel import temporal_networks
 
 TOLERANCE = 1e-7
 
 #: The kernels under test here (everything that runs on the flat arena).
-NEW_KERNELS = ("vectorized", "push_relabel", "adaptive")
+NEW_KERNELS = ("push_relabel", "adaptive")
 
 
 def _twins(network, kernel, tau_s, tau_e):
@@ -159,7 +159,7 @@ class TestAgreementMatrix:
                 ), (kernel, delta)
 
     def test_kernel_runs_are_stamped_and_tallied(self, burst_network):
-        for kernel in ("persistent", "vectorized", "push_relabel"):
+        for kernel in ("persistent", "push_relabel"):
             result = bfq_star(
                 burst_network, BurstingFlowQuery("s", "t", 3), kernel=kernel
             )
@@ -183,14 +183,17 @@ class TestSelector:
 
     def test_learning_converges_to_cheapest(self):
         selector = KernelSelector()
-        arcs, nodes = 50_000, 1_000
-        # Feed consistent timings: vectorized is 4x cheaper at this size.
+        # A dense arena, so push_relabel competes with persistent.
+        nodes = 1_000
+        arcs = int(nodes * DENSE_DEGREE) * 8
+        assert selector.eligible(nodes, arcs) == ["persistent", "push_relabel"]
+        # Feed consistent timings: push_relabel is 4x cheaper at this size.
         for _ in range(6):
             for kernel in ARENA_KERNELS:
-                seconds = 0.01 if kernel == "vectorized" else 0.04
+                seconds = 0.01 if kernel == "push_relabel" else 0.04
                 selector.record(kernel, arcs=arcs, seconds=seconds)
         choices = {selector.choose(arcs=arcs, nodes=nodes) for _ in range(8)}
-        assert choices == {"vectorized"}
+        assert choices == {"push_relabel"}
 
     def test_snapshot_counts_choices(self):
         selector = KernelSelector()

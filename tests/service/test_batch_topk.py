@@ -219,14 +219,11 @@ class TestTopKOperation:
 
 
 class TestCacheKeyCollisions:
-    """Queries differing only in evaluation knobs must not share entries.
+    """Queries naming different algorithms must not share entries.
 
-    Regression for the silent-collision bug: the old key was
-    ``(epoch, source, sink, delta)``, so a ``bfq*`` answer could be served
-    to a ``naive`` request (fine) — but also a ``kernel=object`` answer to
-    a ``kernel=persistent`` request and, worse, an answer computed under
-    one transform to a request pinning the other.  All three knobs are in
-    the key now; hits require the whole evaluation recipe to match.
+    The key is ``(epoch, source, sink, delta, algorithm)``: every solve
+    runs the default engine, so the algorithm is the whole evaluation
+    recipe and hits require it to match.
     """
 
     @staticmethod
@@ -250,44 +247,9 @@ class TestCacheKeyCollisions:
         assert second.cached is False  # not served from the bfq* entry
         assert (second.density, second.interval) == (first.density, first.interval)
 
-    def test_transform_distinguishes_entries(self, burst_network):
-        first, second = run(
-            self._pair(
-                burst_network, {"transform": "skeleton"}, {"transform": "object"}
-            )
-        )
-        assert first.cached is False
-        assert second.cached is False
-        assert (second.density, second.interval) == (first.density, first.interval)
-
-    def test_kernel_distinguishes_entries(self, burst_network):
-        first, second = run(
-            self._pair(
-                burst_network,
-                {"algorithm": "bfq*", "kernel": "persistent"},
-                {"algorithm": "bfq*", "kernel": "object"},
-            )
-        )
-        assert first.cached is False
-        assert second.cached is False
-        assert (second.density, second.interval) == (first.density, first.interval)
-
     def test_same_recipe_still_hits(self, burst_network):
         first, second = run(
-            self._pair(
-                burst_network,
-                {"algorithm": "bfq*", "kernel": "object", "transform": "skeleton"},
-                {"algorithm": "bfq*", "kernel": "object", "transform": "skeleton"},
-            )
-        )
-        assert first.cached is False
-        assert second.cached is True
-
-    def test_default_and_explicit_transform_share_one_entry(self, burst_network):
-        # The key stores the transform that actually ran, so an explicit
-        # "skeleton" request hits the entry a default request populated.
-        first, second = run(
-            self._pair(burst_network, {}, {"transform": "skeleton"})
+            self._pair(burst_network, {"algorithm": "bfq*"}, {"algorithm": "bfq*"})
         )
         assert first.cached is False
         assert second.cached is True

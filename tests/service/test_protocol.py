@@ -52,7 +52,7 @@ class TestRequestRoundTrip:
     def test_query_round_trips(self):
         request = QueryRequest(
             id="q1", source="s", sink="t", delta=3,
-            algorithm="bfq*", kernel="persistent", timeout=5.0,
+            algorithm="bfq*", timeout=5.0,
         )
         line = encode(request_payload(request))
         assert line.endswith(b"\n")
@@ -62,7 +62,6 @@ class TestRequestRoundTrip:
         request = QueryRequest(id="q2", source=1, sink=2, delta=1)
         payload = request_payload(request)
         assert "algorithm" not in payload
-        assert "kernel" not in payload
         assert "timeout" not in payload
         assert parse_request(payload) == request
 
@@ -220,8 +219,7 @@ json_objects = st.dictionaries(st.text(max_size=6), json_values, max_size=4)
 REQUESTS = {
     QueryRequest: st.builds(
         QueryRequest, id=ids, source=nodes, sink=nodes, delta=deltas,
-        algorithm=st.none() | texts, kernel=st.none() | texts,
-        transform=st.none() | texts, timeout=timeouts, min_epoch=fences,
+        algorithm=st.none() | texts, timeout=timeouts, min_epoch=fences,
     ),
     BatchRequest: st.builds(
         BatchRequest, id=ids,

@@ -14,9 +14,12 @@ Re-record (only on a deliberate protocol change) with::
 
 from __future__ import annotations
 
+import asyncio
+import json
 import typing
 from pathlib import Path
 
+from repro.service import BurstingFlowService
 from repro.service.protocol import (
     AppendReply,
     AppendRequest,
@@ -63,7 +66,7 @@ GOLDEN = [
     # Requests: every op, optional fields set and omitted.
     QueryRequest(
         id="q1", source="s", sink="t", delta=3, algorithm="bfq*",
-        kernel="persistent", transform="skeleton", timeout=5.0, min_epoch=7,
+        timeout=5.0, min_epoch=7,
     ),
     QueryRequest(id="q2", source=1, sink=2, delta=1),
     BatchRequest(
@@ -172,6 +175,28 @@ def test_fixture_parses_back_to_equal_messages():
     for message, recorded in zip(GOLDEN, lines):
         parse = parse_request if hasattr(message, "op") else parse_reply
         assert parse(recorded) == message
+
+
+def test_legacy_engine_keys_share_the_default_cache_entry(burst_network):
+    """A query still carrying ``kernel``/``transform`` keys parses, runs the
+    default engine and is answered from the entry of the same query sent
+    without them."""
+    plain = {"v": 1, "id": "q1", "op": "query", "source": "s", "sink": "t", "delta": 2}
+    legacy = dict(plain, id="q2", kernel="persistent", transform="skeleton")
+
+    async def scenario():
+        async with BurstingFlowService(burst_network) as service:
+            first = await service.handle_raw(json.dumps(plain))
+            second = await service.handle_raw(json.dumps(legacy))
+            return json.loads(first), json.loads(second), len(service.cache)
+
+    first, second, entries = asyncio.run(scenario())
+    assert first["ok"] and second["ok"]
+    assert first["result"]["cached"] is False
+    assert second["result"]["cached"] is True
+    assert entries == 1
+    for field in ("density", "interval", "flow_value", "epoch"):
+        assert second["result"][field] == first["result"][field]
 
 
 if __name__ == "__main__":

@@ -1,4 +1,5 @@
-"""CLI tests for the ``serve`` subcommand and the ``--kernel`` flags."""
+"""CLI tests for the ``serve`` subcommand and the ``query``/``scan``
+``--kernel`` flags."""
 
 import json
 import os
@@ -102,16 +103,18 @@ class TestServeParser:
         assert args.host == "127.0.0.1"
         assert args.port == 7461
         assert args.algorithm == "bfq*"
-        assert args.kernel is None
         assert args.processes is None
         assert args.max_pending == 64
         assert args.serve_seconds is None
 
-    def test_serve_rejects_unknown_kernel(self):
-        with pytest.raises(SystemExit):
+    @pytest.mark.parametrize("command", ["serve", "cluster"])
+    def test_serving_commands_have_no_kernel_flag(self, command, capsys):
+        with pytest.raises(SystemExit) as exit_info:
             build_parser().parse_args(
-                ["serve", "edges.csv", "--kernel", "cuda"]
+                [command, "edges.csv", "--kernel", "persistent"]
             )
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --kernel" in capsys.readouterr().err
 
 
 class TestServeEndToEnd:
