@@ -18,14 +18,9 @@ Three experiments, selected with ``--experiment``:
   transform dominates); BFQ+/BFQ* are included to show the skeleton is
   never a regression for the incremental solutions.
 
-* ``kernels`` (writes ``BENCH_PR9.json`` by default) — the
-  specialised-kernel matrix, in three sections: **sweep** (full BFQ*
-  query sweeps under every arena kernel, with ``adaptive``'s ratio
-  against the best fixed kernel per dataset), **large_window** (cold
-  solves on each dataset's widest candidate windows — the regime the
-  ``push_relabel`` kernel was built for), and **shm**
-  (an append-heavy service microbench comparing the shared-memory edge
-  log against per-epoch pool rebuilds).
+* ``shm`` (writes ``BENCH_PR9.json`` by default) — an append-heavy
+  service microbench comparing the shared-memory edge log against
+  per-epoch pool rebuilds.
 
 Configurations are interleaved within each repetition and the
 per-configuration minimum across repetitions is kept, which cancels
@@ -37,7 +32,7 @@ script and uploads the artifact.
 Usage::
 
     PYTHONPATH=src python benchmarks/perf_regression.py \
-        [--experiment kernel|transform|kernels] [--output FILE.json] \
+        [--experiment kernel|transform|shm] [--output FILE.json] \
         [--scale 1.0] [--queries 6] [--reps 3]
 """
 
@@ -249,103 +244,8 @@ def run_transform_benchmark(
 
 
 # ----------------------------------------------------------------------
-# --experiment kernels: the specialised-kernel matrix (BENCH_PR9)
+# --experiment shm: the shared-memory edge log (BENCH_PR9's shm section)
 # ----------------------------------------------------------------------
-#: Every kernel that runs on the persistent arena (order = report order).
-ARENA_KERNEL_MATRIX = ("persistent", "push_relabel", "adaptive")
-#: Specialised kernels count as "in regime" on windows at least this big.
-FAVORABLE_ARCS = 24_000
-#: Windows ranked by span; this many of the widest are timed cold.
-LARGE_WINDOWS_PER_DATASET = 4
-
-
-def _sweep_section(datasets, scale, query_count, reps):
-    """Full BFQ* sweeps per kernel; adaptive vs the best fixed kernel."""
-    configs = []
-    for name in datasets:
-        network = make_dataset(name, scale=scale)
-        workload = generate_queries(network, count=query_count, seed=QUERY_SEED)
-        delta = workload.delta_for(DELTA_FRACTION)
-        queries = [
-            BurstingFlowQuery(source=s, sink=t, delta=delta)
-            for s, t in workload.pairs
-        ]
-        best: dict = {k: None for k in ARENA_KERNEL_MATRIX}
-        for query in queries:  # unmeasured warmup: first-touch costs
-            bfq_star(network, query, kernel="persistent")
-        for _ in range(reps):
-            for kernel in ARENA_KERNEL_MATRIX:  # interleaved
-                start = time.perf_counter()
-                for query in queries:
-                    bfq_star(network, query, kernel=kernel)
-                wall = time.perf_counter() - start
-                if best[kernel] is None or wall < best[kernel]:
-                    best[kernel] = wall
-        fixed = {k: best[k] for k in ARENA_KERNEL_MATRIX if k != "adaptive"}
-        best_fixed = min(fixed, key=fixed.get)
-        configs.append(
-            {
-                "dataset": name,
-                "delta": delta,
-                "num_queries": len(queries),
-                "wall_s": best,
-                "best_fixed": best_fixed,
-                "adaptive_vs_best_fixed": fixed[best_fixed]
-                / max(best["adaptive"], 1e-12),
-            }
-        )
-    return configs
-
-
-def _large_window_section(datasets, scale, query_count, reps):
-    """Cold per-kernel solves on each dataset's widest candidate windows."""
-    from repro.core.incremental import IncrementalTransformedNetwork
-    from repro.core.intervals import enumerate_candidates
-
-    fixed_kernels = [k for k in ARENA_KERNEL_MATRIX if k != "adaptive"]
-    windows = []
-    for name in datasets:
-        network = make_dataset(name, scale=scale)
-        workload = generate_queries(network, count=query_count, seed=QUERY_SEED)
-        delta = workload.delta_for(DELTA_FRACTION)
-        candidates = []
-        for s, t in workload.pairs:
-            plan = enumerate_candidates(network, s, t, delta)
-            candidates.extend(
-                (te - ts, s, t, ts, te) for (ts, te) in plan.intervals()
-            )
-        candidates.sort(reverse=True)  # widest span first (arc-count proxy)
-        for _, s, t, ts, te in candidates[:LARGE_WINDOWS_PER_DATASET]:
-            timings: dict = {k: None for k in fixed_kernels}
-            arcs = 0
-            for _ in range(reps):
-                for kernel in fixed_kernels:  # interleaved
-                    state = IncrementalTransformedNetwork(
-                        network, s, t, ts, te, kernel=kernel
-                    )
-                    start = time.perf_counter()
-                    state.run_maxflow()
-                    wall = time.perf_counter() - start
-                    if timings[kernel] is None or wall < timings[kernel]:
-                        timings[kernel] = wall
-                    if state.network.arena is not None:
-                        arcs = len(state.network.arena.heads)
-            windows.append(
-                {
-                    "dataset": name,
-                    "interval": [ts, te],
-                    "arcs": arcs,
-                    "wall_s": timings,
-                    "speedup_vs_persistent": {
-                        k: timings["persistent"] / max(timings[k], 1e-12)
-                        for k in fixed_kernels
-                        if k != "persistent"
-                    },
-                }
-            )
-    return windows
-
-
 def _shm_section(shm_cycles: int, shm_scale: float):
     """Append-heavy refresh cost: shared-memory publish vs pool rebuild.
 
@@ -410,48 +310,17 @@ def _shm_section(shm_cycles: int, shm_scale: float):
     }
 
 
-def run_kernels_benchmark(
-    *,
-    datasets=DATASETS,
-    scale: float = 1.0,
-    large_scale: float = 3.0,
-    query_count: int = 6,
-    reps: int = 3,
-    shm_cycles: int = 8,
-    shm_scale: float = 1.0,
-) -> dict:
-    """The specialised-kernel matrix (BENCH_PR9); returns the report.
-
-    ``scale`` sizes the sweep section (the standard EXP-3 workload);
-    ``large_scale`` sizes the large-window section separately, because
-    the specialised kernels only enter their regime on windows of
-    roughly ``FAVORABLE_ARCS`` arcs and the standard datasets never get
-    there at scale 1.
-    """
+def run_shm_benchmark(*, shm_cycles: int = 8, shm_scale: float = 1.0) -> dict:
+    """The shared-memory edge-log microbench; returns the report."""
     return {
-        "benchmark": "pr9-specialised-kernel-matrix",
+        "benchmark": "pr9-shared-memory-edge-log",
         "metric": (
-            "sweep: end-to-end BFQ* wall seconds per kernel (min over "
-            "interleaved reps); large_window: cold run_maxflow wall seconds "
-            "on the widest candidate windows; shm: per-append worker "
-            "state-refresh seconds, shared-memory log vs pool rebuild"
+            "shm: per-append worker state-refresh seconds, shared-memory "
+            "log vs pool rebuild"
         ),
-        "baseline": "persistent (flat-array Dinic) / pool rebuild per epoch",
-        "candidate": (
-            "push_relabel + adaptive kernels / shared-memory edge log"
-        ),
-        "config": {
-            "datasets": list(datasets),
-            "scale": scale,
-            "large_scale": large_scale,
-            "queries_per_dataset": query_count,
-            "query_seed": QUERY_SEED,
-            "delta_fraction": DELTA_FRACTION,
-            "reps": reps,
-            "favorable_arcs": FAVORABLE_ARCS,
-            "shm_cycles": shm_cycles,
-            "shm_scale": shm_scale,
-        },
+        "baseline": "pool rebuild per epoch",
+        "candidate": "shared-memory edge log",
+        "config": {"shm_cycles": shm_cycles, "shm_scale": shm_scale},
         "environment": {
             "python": platform.python_version(),
             "platform": platform.platform(),
@@ -459,36 +328,13 @@ def run_kernels_benchmark(
                 timespec="seconds"
             ),
         },
-        "sweep": _sweep_section(datasets, scale, query_count, reps),
-        "large_window": _large_window_section(
-            datasets, large_scale, query_count, reps
-        ),
         "shm": _shm_section(shm_cycles, shm_scale),
     }
 
 
 def summarise_kernels_report(report: dict) -> dict:
-    """Roll the headline numbers out of a kernels report (used by CI too)."""
-    favorable = [
-        window
-        for window in report["large_window"]
-        if window["arcs"] >= report["config"]["favorable_arcs"]
-    ]
-    best_specialised = max(
-        (
-            max(window["speedup_vs_persistent"].values())
-            for window in favorable
-        ),
-        default=None,
-    )
-    return {
-        "adaptive_vs_best_fixed_min": min(
-            config["adaptive_vs_best_fixed"] for config in report["sweep"]
-        ),
-        "favorable_windows": len(favorable),
-        "best_specialised_speedup": best_specialised,
-        "shm_refresh_eliminated": report["shm"]["refresh_eliminated"],
-    }
+    """Roll the headline number out of an shm report (used by CI too)."""
+    return {"shm_refresh_eliminated": report["shm"]["refresh_eliminated"]}
 
 
 def main(argv=None) -> int:
@@ -496,9 +342,9 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--experiment",
         default="kernel",
-        choices=["kernel", "transform", "kernels"],
+        choices=["kernel", "transform", "shm"],
         help="kernel: EXP-3 object-vs-persistent; transform: EXP-4 "
-        "object-vs-skeleton; kernels: PR-9 specialised-kernel matrix "
+        "object-vs-skeleton; shm: shared-memory edge log vs pool rebuild "
         "(default: kernel)",
     )
     parser.add_argument(
@@ -507,24 +353,17 @@ def main(argv=None) -> int:
         default=None,
         help="where to write the JSON report (default: ./BENCH_PR2.json "
         "for kernel, ./BENCH_PR4.json for transform, ./BENCH_PR9.json "
-        "for kernels)",
+        "for shm)",
     )
     parser.add_argument("--scale", type=float, default=1.0)
-    parser.add_argument(
-        "--large-scale",
-        type=float,
-        default=3.0,
-        help="dataset scale for the kernels experiment's large-window "
-        "section (the specialised kernels' regime; default: 3.0)",
-    )
     parser.add_argument("--queries", type=int, default=6)
     parser.add_argument("--reps", type=int, default=3)
     parser.add_argument(
         "--shm-cycles",
         type=int,
         default=8,
-        help="append+query cycles per side in the kernels experiment's "
-        "shared-memory section (default: 8)",
+        help="append+query cycles per side in the shm experiment "
+        "(default: 8)",
     )
     parser.add_argument(
         "--datasets",
@@ -538,39 +377,15 @@ def main(argv=None) -> int:
             {
                 "kernel": "BENCH_PR2.json",
                 "transform": "BENCH_PR4.json",
-                "kernels": "BENCH_PR9.json",
+                "shm": "BENCH_PR9.json",
             }[args.experiment]
         )
 
-    if args.experiment == "kernels":
-        report = run_kernels_benchmark(
-            datasets=tuple(args.datasets),
-            scale=args.scale,
-            large_scale=args.large_scale,
-            query_count=args.queries,
-            reps=args.reps,
-            shm_cycles=args.shm_cycles,
-            shm_scale=args.scale,
+    if args.experiment == "shm":
+        report = run_shm_benchmark(
+            shm_cycles=args.shm_cycles, shm_scale=args.scale
         )
         args.output.write_text(json.dumps(report, indent=2) + "\n")
-        for config in report["sweep"]:
-            cells = " ".join(
-                f"{kernel} {config['wall_s'][kernel] * 1e3:8.1f}ms"
-                for kernel in ARENA_KERNEL_MATRIX
-            )
-            print(
-                f"{config['dataset']:>8} sweep {cells}"
-                f"  adaptive/best-fixed {config['adaptive_vs_best_fixed']:.2f}x"
-            )
-        for window in report["large_window"]:
-            ups = " ".join(
-                f"{kernel} {speedup:.2f}x"
-                for kernel, speedup in window["speedup_vs_persistent"].items()
-            )
-            print(
-                f"{window['dataset']:>8} window {window['interval']}"
-                f" arcs {window['arcs']:>6} {ups}"
-            )
         shm = report["shm"]
         print(
             f"     shm refresh/append: rebuild"

@@ -286,10 +286,10 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help=(
             "comma-separated backend subset of "
-            "bfq,bfq-skel,bfq+,bfq*,push_relabel,adaptive,"
+            "bfq,bfq-skel,bfq+,bfq*,bfq*-object,"
             "planner,naive,networkx,service,"
-            "cluster,mining (push_relabel/adaptive are bfq* "
-            "pinned to the specialised maxflow kernels; cluster boots a "
+            "cluster,mining (bfq*-object is bfq* pinned to the "
+            "reference object-graph maxflow kernel; cluster boots a "
             "live 2-replica cluster per "
             "trial and mining persists + replays a pattern store per "
             "trial; both are excluded from the default set; planner "

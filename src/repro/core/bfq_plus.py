@@ -36,6 +36,7 @@ from repro.core.query import (
 from repro.core.record import BestRecord, should_prune
 from repro.core.skeleton import DEFAULT_TRANSFORM, WindowSkeleton, validate_transform
 from repro.core.transform import build_transformed_network
+from repro.flownet.algorithms.registry import validate_kernel
 from repro.flownet.algorithms.selector import network_maxflow
 from repro.temporal.edge import Timestamp
 from repro.temporal.network import TemporalFlowNetwork
@@ -63,14 +64,13 @@ def bfq_plus(
         kernel: maxflow kernel for the incremental state — any name in
             :data:`repro.flownet.algorithms.registry.ENGINE_KERNELS`:
             ``"persistent"`` (flat-array Dinic on a maintained CSR residual
-            arena), ``"push_relabel"`` (FIFO preflow for dense windows), ``"adaptive"`` (per-window
-            choice from observed timings), or ``"object"`` (the Arc-walking
-            engine).
+            arena) or ``"object"`` (the Arc-walking reference engine).
         transform: edge-inclusion backend — ``"skeleton"`` (one compiled
             per-query index, default) or ``"object"`` (per-extension
             reachability sweeps).
     """
     query.validate_against(network)
+    kernel = validate_kernel(kernel)
     transform = validate_transform(transform)
     stats = QueryStats()
     plan: CandidatePlan = enumerate_candidates(
@@ -233,7 +233,7 @@ def _evaluate_corner(
             skeleton = WindowSkeleton(network, query.source, query.sink)
         window = skeleton.materialize(tau_s, tau_e)
         t1 = time.perf_counter()
-        run = window.maxflow(kernel=kernel)
+        run = window.maxflow()
         t2 = time.perf_counter()
         size = window.num_nodes
     else:

@@ -38,6 +38,7 @@ from repro.core.query import (
 )
 from repro.core.record import BestRecord, should_prune
 from repro.core.skeleton import DEFAULT_TRANSFORM, WindowSkeleton, validate_transform
+from repro.flownet.algorithms.registry import validate_kernel
 from repro.temporal.edge import Timestamp
 from repro.temporal.network import TemporalFlowNetwork
 
@@ -63,6 +64,7 @@ def bfq_star(
             per-query index, default) or ``"object"``.
     """
     query.validate_against(network)
+    kernel = validate_kernel(kernel)
     transform = validate_transform(transform)
     stats = QueryStats()
     plan: CandidatePlan = enumerate_candidates(

@@ -110,10 +110,9 @@ def find_bursting_flow(
             enumeration) or ``"networkx"`` (BFQ with NetworkX Maxflow).
         kernel: maxflow kernel for the incremental solutions — any name
             in :data:`repro.flownet.algorithms.registry.ENGINE_KERNELS`:
-            ``"persistent"`` (flat-array, default), ``"push_relabel"``
-            (dense-window preflow),
-            ``"adaptive"`` (per-window selection) or ``"object"``; only
-            valid with ``algorithm`` in ``"bfq+"``/``"bfq*"``.
+            ``"persistent"`` (flat-array, default) or ``"object"`` (the
+            reference object-graph Dinic); only valid with ``algorithm``
+            in ``"bfq+"``/``"bfq*"``.
         transform: window-transform strategy — ``"skeleton"`` (compile the
             query's window skeleton once and slice candidates into
             detached residual arenas; the default) or ``"object"``

@@ -47,11 +47,9 @@ _WITHDRAW_TOLERANCE = 1e-6
 
 #: Maxflow kernel driving the incremental moves.  ``"persistent"`` runs the
 #: array-only resumable Dinic on the attached CSR residual arena (built
-#: lazily on the first run, maintained incrementally afterwards);
-#: ``"push_relabel"`` floods dense short windows with a FIFO preflow;
-#: ``"adaptive"`` picks among them per run from observed timings; and
-#: ``"object"`` is the pre-arena engine walking ``Arc`` objects.  The full
-#: list lives in :data:`repro.flownet.algorithms.registry.ENGINE_KERNELS`.
+#: lazily on the first run, maintained incrementally afterwards), and
+#: ``"object"`` is the pre-arena reference engine walking ``Arc`` objects.
+#: The list lives in :data:`repro.flownet.algorithms.registry.ENGINE_KERNELS`.
 DEFAULT_KERNEL = DEFAULT_ENGINE_KERNEL
 
 

@@ -405,18 +405,11 @@ class SkeletonWindow:
         self.num_edges = num_edges
         self.source_arc_slots = source_arc_slots
 
-    def maxflow(
-        self,
-        *,
-        value_bound: float | None = None,
-        kernel: str = "persistent",
-    ) -> MaxflowRun:
-        """Run an arena kernel on this window's arena.
+    def maxflow(self, *, value_bound: float | None = None) -> MaxflowRun:
+        """Run the persistent arena kernel on this window's arena.
 
-        ``kernel`` names any arena kernel (``"persistent"``,
-        ``"push_relabel"``, ``"adaptive"``); the engine's
-        ``"object"`` kernel never reaches here — skeleton windows are
-        detached arenas with no object graph to walk.
+        Skeleton windows are detached arenas with no object graph, so the
+        engine's ``"object"`` kernel never reaches here.
         """
         from repro.flownet.algorithms.selector import arena_solve
 
@@ -424,7 +417,6 @@ class SkeletonWindow:
             self.arena,
             self.source_index,
             self.sink_index,
-            kernel=kernel if kernel != "object" else "persistent",
             value_bound=value_bound,
         )
 

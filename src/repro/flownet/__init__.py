@@ -6,7 +6,6 @@ from repro.flownet.algorithms import (
     SOLVERS,
     MaxflowRun,
     dinic,
-    dinic_flat,
     dinic_flat_persistent,
     edmonds_karp,
     ford_fulkerson,
@@ -42,7 +41,6 @@ __all__ = [
     "min_cut",
     "certify_maxflow",
     "dinic",
-    "dinic_flat",
     "dinic_flat_persistent",
     "capacity_scaling",
     "DynamicMaxflow",

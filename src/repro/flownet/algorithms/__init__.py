@@ -3,7 +3,6 @@
 from repro.flownet.algorithms.base import MaxflowRun, MaxflowSolver
 from repro.flownet.algorithms.capacity_scaling import capacity_scaling
 from repro.flownet.algorithms.dinic import dinic
-from repro.flownet.algorithms.dinic_flat import dinic_flat
 from repro.flownet.algorithms.dinic_flat_persistent import dinic_flat_persistent
 from repro.flownet.algorithms.edmonds_karp import edmonds_karp
 from repro.flownet.algorithms.ford_fulkerson import ford_fulkerson
@@ -20,7 +19,6 @@ __all__ = [
     "MaxflowRun",
     "MaxflowSolver",
     "dinic",
-    "dinic_flat",
     "dinic_flat_persistent",
     "capacity_scaling",
     "edmonds_karp",

@@ -34,8 +34,8 @@ class MaxflowRun:
             indices from source to sink (populated only when requested).
         kernel: engine-kernel name that executed this run, stamped by the
             arena dispatch (:func:`repro.flownet.algorithms.selector.
-            arena_solve`) — under ``adaptive`` this is the concrete kernel
-            chosen.  ``None`` for solver-registry runs outside the engine.
+            arena_solve`) or by ``network_maxflow`` for ``"object"``.
+            ``None`` for solver-registry runs outside the engine.
     """
 
     value: float

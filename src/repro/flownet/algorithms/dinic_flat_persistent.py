@@ -1,8 +1,8 @@
 """Resumable Dinic on a *persistent* flat residual arena.
 
-``dinic_flat`` already showed that the CSR layout itself is not the win on
-CPython — its per-run O(|E|) flatten/write-back is pure overhead.  This
-kernel removes that overhead structurally: the flat arrays live in a
+On CPython a flat CSR layout is no win by itself when it is rebuilt per
+run — the O(|E|) flatten/write-back is pure overhead.  This kernel
+removes that overhead structurally: the flat arrays live in a
 :class:`~repro.flownet.residual.ResidualArena` attached to the network and
 maintained *incrementally* through the network's mutation hooks, so a
 resumed run (the BFQ+/BFQ* hot path — dozens of runs over one growing and
@@ -44,15 +44,11 @@ workload (BENCH_PR4.json: same datasets, BFQ end-to-end) removes that too
 transform by 4.1x aggregate (per-dataset 2.8-4.2x), with BFQ+/BFQ* no
 slower on any dataset (1.05-1.87x).
 
-This kernel is not alone on the arena: BENCH_PR9.json (the ``kernels``
-experiment) races it against the ``push_relabel`` flat preflow on the
-same residual state.  On the standard EXP-3 workload every candidate
-window is small and this kernel remains the fastest fixed choice — which
-is why it stays the default and why the ``adaptive`` selector routes
-small windows here.  Push-relabel only pays off on large dense windows
-(e.g. prosper at --large-scale 3), where it reaches up to 2.4x over this
-kernel on cold solves.  See :mod:`repro.flownet.algorithms.selector` and
-docs/algorithms.md.
+This is the engine's one arena kernel: every arena solve runs through
+:func:`repro.flownet.algorithms.selector.arena_solve`, which calls
+:func:`arena_maxflow`.  The object-graph
+:func:`~repro.flownet.algorithms.dinic.dinic` stays as its reference twin
+(``kernel="object"``).  See docs/algorithms.md.
 
 The computed flow *value*, the certified min cut, and the arena/object
 byte-equivalence all match :func:`~repro.flownet.algorithms.dinic.dinic`

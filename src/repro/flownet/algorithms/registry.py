@@ -7,9 +7,8 @@ a single place to resolve solver names.
 
 It is also the single source of truth for the **engine kernels** — the
 ``kernel=`` values accepted by BFQ+/BFQ*, the ``query``/``scan`` CLI
-commands and the differential oracle (:data:`ENGINE_KERNELS`).  Every consumer validates through
-:func:`validate_kernel`, so adding a kernel here is the *only* edit needed
-for it to be accepted end to end.
+commands and the differential oracle (:data:`ENGINE_KERNELS`).  Every
+consumer validates through :func:`validate_kernel`.
 """
 
 from __future__ import annotations
@@ -20,7 +19,6 @@ from repro.exceptions import SolverError
 from repro.flownet.algorithms.base import MaxflowRun, MaxflowSolver
 from repro.flownet.algorithms.capacity_scaling import capacity_scaling
 from repro.flownet.algorithms.dinic import dinic
-from repro.flownet.algorithms.dinic_flat import dinic_flat
 from repro.flownet.algorithms.dinic_flat_persistent import dinic_flat_persistent
 from repro.flownet.algorithms.edmonds_karp import edmonds_karp
 from repro.flownet.algorithms.ford_fulkerson import ford_fulkerson
@@ -30,7 +28,6 @@ from repro.flownet.network import FlowNetwork
 
 SOLVERS: dict[str, MaxflowSolver] = {
     "dinic": dinic,
-    "dinic-flat": dinic_flat,
     "dinic-flat-persistent": dinic_flat_persistent,
     "edmonds-karp": edmonds_karp,
     "ford-fulkerson": ford_fulkerson,
@@ -44,7 +41,6 @@ SOLVERS: dict[str, MaxflowSolver] = {
 RESUMABLE_SOLVERS: frozenset[str] = frozenset(
     {
         "dinic",
-        "dinic-flat",
         "dinic-flat-persistent",
         "edmonds-karp",
         "ford-fulkerson",
@@ -54,24 +50,12 @@ RESUMABLE_SOLVERS: frozenset[str] = frozenset(
 
 
 #: Engine kernels, in documentation order.  ``persistent`` is the flat
-#: resumable arena Dinic, ``push_relabel`` the flat FIFO/gap push-relabel
-#: specialised for dense short-window arenas, ``adaptive`` the per-window
-#: selector over the two, and ``object`` the original object-graph walker.
-ENGINE_KERNELS: tuple[str, ...] = (
-    "persistent",
-    "push_relabel",
-    "adaptive",
-    "object",
-)
+#: resumable arena Dinic; ``object`` is the original object-graph walker,
+#: kept as its reference twin.
+ENGINE_KERNELS: tuple[str, ...] = ("persistent", "object")
 
 #: The kernel an unqualified engine call runs.
 DEFAULT_ENGINE_KERNEL = "persistent"
-
-#: Kernels that run on a :class:`~repro.flownet.residual.ResidualArena`
-#: (attached or detached) rather than the object graph.
-ARENA_KERNELS: frozenset[str] = frozenset(
-    {"persistent", "push_relabel", "adaptive"}
-)
 
 
 def validate_kernel(kernel: str | None) -> str:

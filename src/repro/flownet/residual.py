@@ -8,9 +8,9 @@ to check Lemma 1 style equivalences.
 This module also hosts :class:`ResidualArena`, the flat-array mirror of a
 :class:`~repro.flownet.network.FlowNetwork` that the persistent Dinic
 kernel (:func:`~repro.flownet.algorithms.dinic_flat_persistent.
-dinic_flat_persistent`) operates on.  Unlike the per-run flatten of
-``dinic_flat``, an arena is built once, *attached* to its network, and then
-kept in sync incrementally.  Structural growth is deliberately *lazy*:
+dinic_flat_persistent`) operates on.  Rather than being flattened per run,
+an arena is built once, *attached* to its network, and then kept in sync
+incrementally.  Structural growth is deliberately *lazy*:
 ``add_edge`` merely journals the new edge's endpoints into :attr:`dirty`
 (two list appends — the insertion case adds tens of thousands of edges
 between kernel runs, so per-edge Python-level mirroring would dominate),

@@ -68,14 +68,9 @@ def _bfq_skeleton(network, query, **kwargs) -> BurstingFlowResult:
     return bfq(network, query, transform="skeleton", **kwargs)
 
 
-def _bfq_star_push_relabel(network, query, **kwargs) -> BurstingFlowResult:
-    """BFQ* pinned to the flat FIFO push-relabel kernel."""
-    return bfq_star(network, query, kernel="push_relabel", **kwargs)
-
-
-def _bfq_star_adaptive(network, query, **kwargs) -> BurstingFlowResult:
-    """BFQ* under the adaptive kernel selector (any concrete kernel mix)."""
-    return bfq_star(network, query, kernel="adaptive", **kwargs)
+def _bfq_star_object(network, query, **kwargs) -> BurstingFlowResult:
+    """BFQ* pinned to the reference object-graph Dinic kernel."""
+    return bfq_star(network, query, kernel="object", **kwargs)
 
 
 #: All differential backends, in execution order.  ``bfq`` is pinned to
@@ -88,11 +83,9 @@ BACKENDS: Mapping[str, Callable[..., BurstingFlowResult]] = {
     "bfq-skel": _bfq_skeleton,
     "bfq+": bfq_plus,
     "bfq*": bfq_star,
-    # BFQ* pinned to each specialised maxflow kernel, so every fuzz case
-    # differential-checks the flat push-relabel and the adaptive selector
-    # against the persistent-kernel answers above.
-    "push_relabel": _bfq_star_push_relabel,
-    "adaptive": _bfq_star_adaptive,
+    # BFQ* pinned to the reference object-graph kernel, so every fuzz case
+    # differential-checks the persistent arena kernel above against it.
+    "bfq*-object": _bfq_star_object,
     # The multi-query planner, exercised with a duplicate of the query and
     # overlapping-delta companions in the same batch — every amortised
     # (memoised) answer is differential-checked against the independent
@@ -136,8 +129,7 @@ PLAN_BACKENDS: tuple[str, ...] = (
     "bfq-skel",
     "bfq+",
     "bfq*",
-    "push_relabel",
-    "adaptive",
+    "bfq*-object",
     "planner",
     "networkx",
     "service",

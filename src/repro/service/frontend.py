@@ -18,8 +18,9 @@ The transport is sniffed from the first line of the connection.  Hostile
 input ends in a typed reply, never in a reset or an unhandled task
 exception: a line over :data:`LINE_LIMIT` bytes gets an ``invalid``
 error (NDJSON) or a ``400`` (HTTP) and the connection closes cleanly; a
-bad ``Content-Length`` gets a ``400``; a body cut short by EOF closes
-the connection quietly.
+bad ``Content-Length`` gets a ``400``, and one over :data:`LINE_LIMIT`
+(the same per-message cap NDJSON enforces) gets a ``413`` before any of
+the body is read; a body cut short by EOF closes the connection quietly.
 """
 
 from __future__ import annotations
@@ -42,8 +43,8 @@ from repro.service.protocol import (
     reply_payload,
 )
 
-#: Longest request line (and HTTP header line) the front end reads: the
-#: asyncio stream default, made explicit.
+#: Longest request line, HTTP header line and HTTP body the front end
+#: reads: the asyncio stream default, made explicit.
 LINE_LIMIT = 2**16
 
 _HTTP_METHODS = (b"GET", b"POST", b"HEAD", b"PUT", b"DELETE")
@@ -61,6 +62,7 @@ _HTTP_REASONS = {
     400: "Bad Request",
     404: "Not Found",
     408: "Request Timeout",
+    413: "Payload Too Large",
     429: "Too Many Requests",
     500: "Internal Server Error",
     503: "Service Unavailable",
@@ -174,6 +176,12 @@ async def _serve_http(
                 content_length = -1
             if content_length < 0:
                 _http_respond(writer, 400, {"error": "bad Content-Length"})
+                await _linger(reader, writer)
+                return
+            if content_length > LINE_LIMIT:
+                _http_respond(
+                    writer, 413, {"error": f"body exceeds {LINE_LIMIT} bytes"}
+                )
                 await _linger(reader, writer)
                 return
     body = await reader.readexactly(content_length) if content_length else b""

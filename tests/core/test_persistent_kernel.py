@@ -12,14 +12,22 @@ step:
   capacities, levels never out of range) — ``ResidualArena.mirrors`` is a
   byte-level comparison of every parallel array against the adjacency
   lists.
+
+The agreement matrix then checks the full BFQ* pipeline end to end: every
+registry kernel must produce the identical ``(density, interval,
+flow_value)`` on the same queries.
 """
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.bfq_plus import bfq_plus
+from repro.core.bfq_star import bfq_star
 from repro.core.incremental import IncrementalTransformedNetwork
+from repro.core.query import BurstingFlowQuery
 from repro.exceptions import SolverError
+from repro.flownet.algorithms.registry import ENGINE_KERNELS
 from repro.temporal import TemporalEdge, TemporalFlowNetwork
 
 TOLERANCE = 1e-7
@@ -138,10 +146,12 @@ def test_value_bound_run_matches_unbounded_twin(network):
 
 
 def test_unknown_kernel_rejected(burst_network):
-    with pytest.raises(SolverError, match="kernel"):
-        IncrementalTransformedNetwork(
-            burst_network, "s", "t", 0, 2, kernel="quantum"
-        )
+    # The retired arena kernels are unknown names too.
+    for kernel in ("quantum", "adaptive", "push_relabel"):
+        with pytest.raises(SolverError, match="persistent, object"):
+            IncrementalTransformedNetwork(
+                burst_network, "s", "t", 0, 2, kernel=kernel
+            )
 
 
 def test_clone_preserves_kernel(burst_network):
@@ -149,3 +159,53 @@ def test_clone_preserves_kernel(burst_network):
         burst_network, "s", "t", 0, 2, kernel="object"
     )
     assert state.clone().kernel == "object"
+
+
+class TestAgreementMatrix:
+    """Every registry kernel answers BFQ* identically, end to end."""
+
+    DELTAS = (2, 3, 5, 10)
+
+    def test_all_kernels_agree_on_burst_network(self, burst_network):
+        baseline = {
+            delta: bfq_star(
+                burst_network,
+                BurstingFlowQuery("s", "t", delta),
+                kernel="persistent",
+            )
+            for delta in self.DELTAS
+        }
+        for kernel in ENGINE_KERNELS:
+            for delta in self.DELTAS:
+                result = bfq_star(
+                    burst_network,
+                    BurstingFlowQuery("s", "t", delta),
+                    kernel=kernel,
+                )
+                expected = baseline[delta]
+                assert result.density == pytest.approx(
+                    expected.density, abs=TOLERANCE
+                ), (kernel, delta)
+                assert result.interval == expected.interval, (kernel, delta)
+                assert result.flow_value == pytest.approx(
+                    expected.flow_value, abs=TOLERANCE
+                ), (kernel, delta)
+
+    def test_kernel_runs_are_stamped_and_tallied(self, burst_network):
+        for kernel in ("persistent", "object"):
+            result = bfq_star(
+                burst_network, BurstingFlowQuery("s", "t", 3), kernel=kernel
+            )
+            tally = result.stats.kernel_runs
+            assert tally, kernel
+            assert set(tally) == {kernel}
+            assert result.stats.kernel_seconds.keys() == tally.keys()
+
+
+@pytest.mark.parametrize("kernel", ["adaptive", "push_relabel"])
+def test_bfq_entry_points_reject_unknown_kernel_up_front(kernel):
+    # One edge, so no incremental state is ever built to validate it.
+    network = TemporalFlowNetwork.from_tuples([("s", "t", 1, 1.0)])
+    for solve in (bfq_plus, bfq_star):
+        with pytest.raises(SolverError, match="persistent, object"):
+            solve(network, BurstingFlowQuery("s", "t", 1), kernel=kernel)

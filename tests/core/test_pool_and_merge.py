@@ -162,14 +162,14 @@ class TestMergeQueryStats:
     def test_kernel_tallies_merge_key_wise(self):
         first = QueryStats()
         first.note_kernel("persistent", 0.25)
-        first.note_kernel("push_relabel", 0.5)
+        first.note_kernel("object", 0.5)
         second = QueryStats()
-        second.note_kernel("push_relabel", 0.125)
+        second.note_kernel("object", 0.125)
         merged = merge_query_stats([first, second])
-        assert merged.kernel_runs == {"persistent": 1, "push_relabel": 2}
+        assert merged.kernel_runs == {"persistent": 1, "object": 2}
         assert merged.kernel_seconds == {
             "persistent": 0.25,
-            "push_relabel": 0.625,
+            "object": 0.625,
         }
 
     def test_samples_concatenate_in_chunk_order(self):

@@ -15,7 +15,6 @@ from repro.flownet import (
     FlowNetwork,
     decompose_into_paths,
     dinic,
-    dinic_flat,
     dinic_flat_persistent,
     edmonds_karp,
     ford_fulkerson,
@@ -51,7 +50,6 @@ def random_flow_networks(draw) -> FlowNetwork:
 def test_all_solvers_agree(net: FlowNetwork):
     source, sink = 0, 1
     reference = dinic(net.clone(), source, sink).value
-    assert abs(dinic_flat(net.clone(), source, sink).value - reference) < TOLERANCE
     assert (
         abs(dinic_flat_persistent(net.clone(), source, sink).value - reference)
         < TOLERANCE

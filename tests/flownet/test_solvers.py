@@ -17,7 +17,6 @@ from repro.flownet import (
     EdgeKind,
     FlowNetwork,
     dinic,
-    dinic_flat,
     dinic_flat_persistent,
     edmonds_karp,
     ford_fulkerson,
@@ -29,14 +28,13 @@ from repro.flownet import (
 
 ALL_SOLVERS = [
     dinic,
-    dinic_flat,
     dinic_flat_persistent,
     edmonds_karp,
     ford_fulkerson,
     push_relabel,
     lp_maxflow,
 ]
-MUTATING_SOLVERS = [dinic, dinic_flat, dinic_flat_persistent, edmonds_karp, ford_fulkerson]
+MUTATING_SOLVERS = [dinic, dinic_flat_persistent, edmonds_karp, ford_fulkerson]
 
 
 def st(net: FlowNetwork) -> tuple[int, int]:

@@ -142,3 +142,30 @@ def test_http_body_cut_short_by_eof_closes_quietly(kind, tmp_path):
     assert answer == b""
     assert pong["ok"] is True
     assert errors == []
+
+
+@pytest.mark.parametrize("kind", FRONT_ENDS)
+def test_http_content_length_over_limit_answers_413_without_waiting(kind, tmp_path):
+    async def scenario():
+        async with serving(kind, tmp_path) as (host, port, errors):
+            reader, writer = await asyncio.open_connection(host, port)
+            # Headers only, no body and no half-close: a server that waits
+            # for the announced 2 GB never answers.
+            writer.write(
+                b"POST /query HTTP/1.1\r\nHost: x\r\n"
+                b"Content-Length: 2000000000\r\n\r\n"
+            )
+            await writer.drain()
+            async with asyncio.timeout(5):
+                answer = await reader.read()
+            writer.close()
+            await writer.wait_closed()
+            pong = await ping(host, port)
+        return answer, pong, errors
+
+    answer, pong, errors = asyncio.run(scenario())
+    head, _, body = answer.partition(b"\r\n\r\n")
+    assert head.startswith(b"HTTP/1.1 413 ")
+    assert str(LINE_LIMIT) in json.loads(body)["error"]
+    assert pong["ok"] is True
+    assert errors == []

@@ -45,14 +45,18 @@ class TestKernelFlags:
         assert "300" in capsys.readouterr().out
 
     def test_query_rejects_unknown_kernel(self, edges_csv, capsys):
-        with pytest.raises(SystemExit):
-            main(
-                [
-                    "query", str(edges_csv),
-                    "--source", "s", "--sink", "t", "--delta", "2",
-                    "--kernel", "cuda",
-                ]
-            )
+        # The retired arena kernels are unknown names too.
+        for kernel in ("cuda", "adaptive", "push_relabel"):
+            with pytest.raises(SystemExit) as exit_info:
+                main(
+                    [
+                        "query", str(edges_csv),
+                        "--source", "s", "--sink", "t", "--delta", "2",
+                        "--kernel", kernel,
+                    ]
+                )
+            assert exit_info.value.code == 2, kernel
+            assert "invalid choice" in capsys.readouterr().err, kernel
 
     def test_scan_kernel_flag(self, edges_csv, capsys):
         code = main(
