@@ -13,8 +13,7 @@ Three experiments, selected with ``--experiment``:
   (every candidate window rebuilt through ``build_transformed_network`` /
   per-extension reachability sweeps) vs ``skeleton`` (one compiled
   :class:`~repro.core.skeleton.WindowSkeleton` per query, candidates
-  materialised as binary-searched array slices into detached residual
-  arenas).  BFQ is the headline (it rebuilds every window, so the
+  materialised as binary-searched array slices into residual arenas).  BFQ is the headline (it rebuilds every window, so the
   transform dominates); BFQ+/BFQ* are included to show the skeleton is
   never a regression for the incremental solutions.
 

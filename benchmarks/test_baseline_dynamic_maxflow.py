@@ -54,8 +54,10 @@ def test_dynamic_per_edge_vs_batch_window_extension(benchmark):
                 return state.flow_value(), runs
 
             def per_edge():
+                # Object kernel: the state's store is the FlowNetwork that
+                # the per-edge Dinic passes below walk.
                 state = IncrementalTransformedNetwork(
-                    network, source, sink, start, start + delta
+                    network, source, sink, start, start + delta, kernel="object"
                 )
                 state.run_maxflow()
                 runs = 1

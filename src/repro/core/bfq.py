@@ -9,7 +9,7 @@ Two transform strategies are supported (``transform=``):
 
 * ``"skeleton"`` (default) — compile the network once per query into a
   :class:`~repro.core.skeleton.WindowSkeleton` and slice every candidate
-  window directly into a detached residual arena that the flat Dinic
+  window directly into a residual arena that the flat Dinic
   kernel consumes natively; no per-window ``FlowNetwork`` object graph is
   built at all.  With a non-Dinic ``solver=``, each window goes through
   the skeleton's ``to_flow_network()`` escape hatch — still amortising the

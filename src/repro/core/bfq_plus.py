@@ -35,7 +35,6 @@ from repro.core.query import (
 )
 from repro.core.record import BestRecord, should_prune
 from repro.core.skeleton import DEFAULT_TRANSFORM, WindowSkeleton, validate_transform
-from repro.core.transform import build_transformed_network
 from repro.flownet.algorithms.registry import validate_kernel
 from repro.flownet.algorithms.selector import network_maxflow
 from repro.temporal.edge import Timestamp
@@ -63,7 +62,7 @@ def bfq_plus(
             to isolate the incremental speedup).
         kernel: maxflow kernel for the incremental state — any name in
             :data:`repro.flownet.algorithms.registry.ENGINE_KERNELS`:
-            ``"persistent"`` (flat-array Dinic on a maintained CSR residual
+            ``"persistent"`` (flat-array Dinic on the state's residual
             arena) or ``"object"`` (the Arc-walking reference engine).
         transform: edge-inclusion backend — ``"skeleton"`` (one compiled
             per-query index, default) or ``"object"`` (per-extension
@@ -237,19 +236,19 @@ def _evaluate_corner(
         t2 = time.perf_counter()
         size = window.num_nodes
     else:
+        # The object transform's corner is one more minimal window, built
+        # in the kernel's own residual store.
         t0 = time.perf_counter()
-        transformed = build_transformed_network(
-            network, query.source, query.sink, tau_s, tau_e
+        state = IncrementalTransformedNetwork(
+            network, query.source, query.sink, tau_s, tau_e,
+            kernel=kernel, transform=transform,
         )
         t1 = time.perf_counter()
         run = network_maxflow(
-            transformed.flow_network,
-            transformed.source_index,
-            transformed.sink_index,
-            kernel=kernel,
+            state.network, state.source_index, state.sink_index, kernel=kernel
         )
         t2 = time.perf_counter()
-        size = transformed.num_nodes
+        size = state.num_nodes
     stats.maxflow_runs += 1
     stats.note_kernel(run.kernel, t2 - t1)
     stats.augmenting_paths += run.augmenting_paths

@@ -115,7 +115,7 @@ def find_bursting_flow(
             in ``"bfq+"``/``"bfq*"``.
         transform: window-transform strategy — ``"skeleton"`` (compile the
             query's window skeleton once and slice candidates into
-            detached residual arenas; the default) or ``"object"``
+            residual arenas; the default) or ``"object"``
             (per-window object-graph rebuild); only valid with
             ``algorithm`` in ``"bfq"``/``"bfq+"``/``"bfq*"``.
         parallel_windows: shard BFQ's independent candidate windows over

@@ -26,31 +26,62 @@ incremental lemmas describe:
 
 Flow-value accounting uses the invariant measure ``|f| =`` flow leaving the
 *active* source timeline on capacity edges, which survives both moves.
+
+**One residual store per state.**  The state's network lives in exactly one
+store, chosen by the kernel: a :class:`~repro.flownet.residual.ResidualArena`
+for ``kernel="persistent"`` (the default — the flat arrays the arena Dinic
+runs on, appended to directly) or a :class:`~repro.flownet.network.
+FlowNetwork` for ``kernel="object"`` (the reference Dinic's object graph).
+The engine logic below is written once, against the operations both stores
+provide: ``add_node`` / ``add_edge`` (returning an edge handle),
+``flow_on`` / ``push_on`` / ``disable_edge``, ``in_flow`` / ``out_flow`` /
+``successors``, ``retire_node`` / ``is_retired`` and ``compacted_clone``.
+The engine keeps its own per-node timelines of store indices and edge
+handles, so it never asks a store for a label.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
+from itertools import accumulate
 
 from repro.exceptions import GraphError, InvalidIntervalError
 from repro.flownet.algorithms.base import MaxflowRun
 from repro.flownet.algorithms.registry import DEFAULT_ENGINE_KERNEL, validate_kernel
 from repro.flownet.algorithms.selector import network_maxflow
-from repro.flownet.network import EdgeKind, EdgeRef, FlowNetwork
+from repro.flownet.network import FlowNetwork
+from repro.flownet.residual import ResidualArena
 from repro.core.skeleton import DEFAULT_TRANSFORM, WindowSkeleton, validate_transform
-from repro.core.transform import TransformedNetwork, reachable_edges
+from repro.core.transform import reachable_edges
 from repro.temporal.edge import NodeId, Timestamp
 from repro.temporal.network import TemporalFlowNetwork
 
 #: Tolerance when asserting complete withdrawal of boundary-crossing flow.
 _WITHDRAW_TOLERANCE = 1e-6
 
-#: Maxflow kernel driving the incremental moves.  ``"persistent"`` runs the
-#: array-only resumable Dinic on the attached CSR residual arena (built
-#: lazily on the first run, maintained incrementally afterwards), and
-#: ``"object"`` is the pre-arena reference engine walking ``Arc`` objects.
-#: The list lives in :data:`repro.flownet.algorithms.registry.ENGINE_KERNELS`.
+#: Maxflow kernel driving the incremental moves.  ``"persistent"`` keeps
+#: the state in a flat residual arena and runs the resumable arena Dinic on
+#: it; ``"object"`` keeps it in a :class:`FlowNetwork` and runs the
+#: reference engine walking ``Arc`` objects.  The list lives in
+#: :data:`repro.flownet.algorithms.registry.ENGINE_KERNELS`.
 DEFAULT_KERNEL = DEFAULT_ENGINE_KERNEL
+
+
+class _Timeline:
+    """One temporal node's chain of transformed nodes ``<node, tau>``.
+
+    ``stamps`` is sorted; ``nodes[i]`` is the store index of
+    ``<node, stamps[i]>`` and ``holds[i]`` the handle of the hold edge into
+    it (``None`` for the first node, which has no live predecessor).
+    """
+
+    __slots__ = ("stamps", "nodes", "holds")
+
+    def __init__(self) -> None:
+        self.stamps: list[Timestamp] = []
+        self.nodes: list[int] = []
+        self.holds: list = []
 
 
 class IncrementalTransformedNetwork:
@@ -95,13 +126,14 @@ class IncrementalTransformedNetwork:
         # source, which keeps edge inclusion sound (a superset of the
         # edges reachable from the current source is materialised).
         self._arrival: dict[NodeId, float] = {}
-        self.network = FlowNetwork()
-        # Sorted active timeline stamps per temporal node.
-        self._timeline: dict[NodeId, list[Timestamp]] = {}
-        # Hold-edge handle per (node, index into timeline): the edge from
-        # timeline[i] to timeline[i+1] keyed by its *head* stamp.
-        self._hold_into: dict[tuple[NodeId, Timestamp], EdgeRef] = {}
-        self.source_capacity_arcs: list[EdgeRef] = []
+        #: The state's one residual store (see the module docstring).
+        self.network: ResidualArena | FlowNetwork = (
+            FlowNetwork() if self.kernel == "object" else ResidualArena()
+        )
+        self._timeline: dict[NodeId, _Timeline] = {}
+        # (stamp, handle) of every capacity edge leaving a live source node:
+        # the arcs flow_value() sums.  Retirement drops them by stamp.
+        self._source_arcs: list[tuple[Timestamp, object]] = []
         # Order matters: the source boundary node comes first (its event
         # stamps are >= tau_s, so the timeline appends monotonically), the
         # sink boundary node last (its event stamps are <= tau_e).
@@ -115,34 +147,13 @@ class IncrementalTransformedNetwork:
     # ------------------------------------------------------------------
     @property
     def num_nodes(self) -> int:
-        """``|V'|`` — active transformed nodes."""
-        return self.network.num_active_nodes
-
-    def as_transformed(self) -> TransformedNetwork:
-        """A read-compatible :class:`TransformedNetwork` view of the state."""
-        return TransformedNetwork(
-            flow_network=self.network,
-            source=self.source,
-            sink=self.sink,
-            tau_s=self.tau_s,
-            tau_e=self.tau_e,
-            source_index=self.source_index,
-            sink_index=self.sink_index,
-            source_capacity_arcs=self.source_capacity_arcs,
-        )
+        """``|V'|`` — active transformed nodes (every one lies on a timeline)."""
+        return sum(len(timeline.stamps) for timeline in self._timeline.values())
 
     def flow_value(self) -> float:
         """``|f|`` for the current residual state."""
-        total = 0.0
-        network = self.network
-        for ref in self.source_capacity_arcs:
-            if network.is_retired(ref.tail):
-                continue
-            arc = network.forward_arc(ref)
-            if network.is_retired(arc.head):
-                continue
-            total += network.flow_on(ref)
-        return total
+        flow_on = self.network.flow_on
+        return sum((flow_on(handle) for _, handle in self._source_arcs), 0.0)
 
     def run_maxflow(self, *, value_bound: float | None = None) -> MaxflowRun:
         """Resume Dinic on the current residual state (Lemma 3 / Lemma 4).
@@ -170,10 +181,11 @@ class IncrementalTransformedNetwork:
         """Deep copy of the state (BFQ*'s mid-sweep snapshot).
 
         The copy is *compacted*: nodes retired by earlier
-        :meth:`advance_start` calls are dropped and every stored edge
-        handle is remapped, so successive BFQ* generations do not inherit
-        dead prefixes (this mirrors the paper's operator semantics, where
-        the subtracted prefix simply no longer exists in the new network).
+        :meth:`advance_start` calls are dropped and every stored index and
+        edge handle is remapped, so successive BFQ* generations do not
+        inherit dead prefixes (this mirrors the paper's operator semantics,
+        where the subtracted prefix simply no longer exists in the new
+        network).
         """
         other = IncrementalTransformedNetwork.__new__(IncrementalTransformedNetwork)
         other.kernel = self.kernel
@@ -185,21 +197,27 @@ class IncrementalTransformedNetwork:
         other.tau_s = self.tau_s
         other.tau_e = self.tau_e
         other._arrival = dict(self._arrival)
-        other.network, ref_map = self.network.compacted_clone()
-        other._timeline = {
-            node: [tau for tau in tl if other.network.has_node((node, tau))]
-            for node, tl in self._timeline.items()
-        }
-        other._timeline = {node: tl for node, tl in other._timeline.items() if tl}
-        other._hold_into = {}
-        for key, ref in self._hold_into.items():
-            mapped = ref_map.get((ref.tail, ref.index))
-            if mapped is not None:
-                other._hold_into[key] = mapped
-        other.source_capacity_arcs = [
-            ref_map[(ref.tail, ref.index)]
-            for ref in self.source_capacity_arcs
-            if (ref.tail, ref.index) in ref_map
+        network = self.network
+        other.network, edge_map = network.compacted_clone()
+        # Both stores keep surviving nodes in order, so a live node's new
+        # index is its rank among the live nodes.
+        rank = list(
+            accumulate(not network.is_retired(i) for i in range(network.num_nodes))
+        )
+        other._timeline = {}
+        for node, timeline in self._timeline.items():
+            if not timeline.stamps:
+                continue
+            copy = _Timeline()
+            copy.stamps = list(timeline.stamps)
+            copy.nodes = [rank[index] - 1 for index in timeline.nodes]
+            copy.holds = [
+                None if handle is None else edge_map[handle]
+                for handle in timeline.holds
+            ]
+            other._timeline[node] = copy
+        other._source_arcs = [
+            (tau, edge_map[handle]) for tau, handle in self._source_arcs
         ]
         other._sync_endpoints()
         return other
@@ -235,14 +253,15 @@ class IncrementalTransformedNetwork:
         canonical, which the deletion case relies on: withdrawal paths
         trace the flow *backwards from the current sink*.
         """
-        old_index = self.network.index_of((self.sink, old_tau_e))
-        excess = self.network.in_flow(old_index) - self.network.out_flow(old_index)
+        network = self.network
+        timeline = self._timeline[self.sink]
+        position = bisect_left(timeline.stamps, old_tau_e)
+        old_index = timeline.nodes[position]
+        excess = network.in_flow(old_index) - network.out_flow(old_index)
         if excess <= 0:
             return
-        timeline = self._timeline[self.sink]
-        position = timeline.index(old_tau_e)
-        for stamp in timeline[position + 1 :]:
-            self.network.push_on(self._hold_into[(self.sink, stamp)], excess)
+        for handle in timeline.holds[position + 1 :]:
+            network.push_on(handle, excess)
 
     # ------------------------------------------------------------------
     # Deletion case (Lemma 4/5)
@@ -262,22 +281,16 @@ class IncrementalTransformedNetwork:
                 f"advance_start needs tau_s < {new_tau_s} < tau_e "
                 f"(have [{self.tau_s}, {self.tau_e}])"
             )
+        network = self.network
         self._inject_timestamp(new_tau_s)
         crossings = self._boundary_crossings(new_tau_s)
         total_crossing = sum(flow for _, flow in crossings)
 
         virtual_index: int | None = None
         if total_crossing > _WITHDRAW_TOLERANCE:
-            virtual_label = ("__virtual__", self.tau_s, new_tau_s)
-            virtual_index = self.network.add_node(virtual_label)
+            virtual_index = network.add_node(("__virtual__", self.tau_s, new_tau_s))
             for boundary_index, flow in crossings:
-                self.network.add_edge(
-                    boundary_index,
-                    virtual_index,
-                    flow,
-                    kind=EdgeKind.VIRTUAL,
-                    meta="withdrawal",
-                )
+                network.add_edge(boundary_index, virtual_index, flow)
 
         # Retire the prefix *before* withdrawing so withdrawal paths stay in
         # the surviving suffix (see module docstring).
@@ -294,7 +307,7 @@ class IncrementalTransformedNetwork:
                     f"withdrawal incomplete: absorbed {withdrawn} of "
                     f"{total_crossing} boundary-crossing flow"
                 )
-            self.network.retire_node(virtual_index)
+            network.retire_node(virtual_index)
 
         self.tau_s = new_tau_s
         self._ensure_timeline_node(self.source, new_tau_s)
@@ -314,8 +327,11 @@ class IncrementalTransformedNetwork:
     # Internals
     # ------------------------------------------------------------------
     def _sync_endpoints(self) -> None:
-        self.source_index = self.network.index_of((self.source, self.tau_s))
-        self.sink_index = self.network.index_of((self.sink, self.tau_e))
+        # The source timeline starts at tau_s and the sink timeline ends at
+        # tau_e: no included edge leaves the source earlier or enters the
+        # sink later.
+        self.source_index = self._timeline[self.source].nodes[0]
+        self.sink_index = self._timeline[self.sink].nodes[-1]
 
     def _include_window(self, tau_lo: Timestamp, tau_hi: Timestamp) -> None:
         """Materialise reachable edges with timestamps in [tau_lo, tau_hi]."""
@@ -333,16 +349,17 @@ class IncrementalTransformedNetwork:
             included = reachable_edges(
                 self.temporal, self.source, tau_lo, tau_hi, arrival=self._arrival
             )
+        add_edge = self.network.add_edge
+        ensure = self._ensure_timeline_node
+        source = self.source
+        sink = self.sink
+        source_arcs = self._source_arcs
         for u, v, tau, capacity in included:
-            if u == self.sink or v == self.source:
+            if u == sink or v == source:
                 continue  # cannot carry s-t flow (see transform.assemble)
-            tail = self._ensure_timeline_node(u, tau)
-            head = self._ensure_timeline_node(v, tau)
-            ref = self.network.add_edge(
-                tail, head, capacity, kind=EdgeKind.CAPACITY, meta=(u, v, tau)
-            )
-            if u == self.source:
-                self.source_capacity_arcs.append(ref)
+            handle = add_edge(ensure(u, tau), ensure(v, tau), capacity)
+            if u == source:
+                source_arcs.append((tau, handle))
 
     def _ensure_timeline_node(self, node: NodeId, tau: Timestamp) -> int:
         """Get or create ``<node, tau>``, chaining it into the timeline.
@@ -352,33 +369,40 @@ class IncrementalTransformedNetwork:
         an :meth:`advance_start` — prepended at the front.  Interior stamps
         only ever appear through timestamp injection.
         """
-        label = (node, tau)
-        if self.network.has_node(label):
-            return self.network.index_of(label)
-        timeline = self._timeline.setdefault(node, [])
-        if timeline and timeline[0] > tau:
-            # Prepend: a fresh boundary node ahead of the first stamp.
-            index = self.network.add_node(label)
-            first = timeline[0]
-            ref = self.network.add_edge_labeled(
-                label, (node, first), math.inf, kind=EdgeKind.HOLD, meta=node
-            )
-            self._hold_into[(node, first)] = ref
-            timeline.insert(0, tau)
-            return index
-        if timeline and timeline[-1] > tau:
-            raise GraphError(
-                f"timeline of {node!r} only grows at its ends: cannot add "
-                f"{tau} inside [{timeline[0]}, {timeline[-1]}]"
-            )
-        index = self.network.add_node(label)
-        if timeline:
-            previous = timeline[-1]
-            ref = self.network.add_edge_labeled(
-                (node, previous), label, math.inf, kind=EdgeKind.HOLD, meta=node
-            )
-            self._hold_into[(node, tau)] = ref
-        timeline.append(tau)
+        timeline = self._timeline.get(node)
+        if timeline is None:
+            timeline = self._timeline[node] = _Timeline()
+        stamps = timeline.stamps
+        nodes = timeline.nodes
+        if stamps:
+            last = stamps[-1]
+            if last == tau:
+                return nodes[-1]
+            if last < tau:
+                # Append — the common case in _include_window.
+                network = self.network
+                index = network.add_node((node, tau))
+                timeline.holds.append(network.add_edge(nodes[-1], index, math.inf))
+                stamps.append(tau)
+                nodes.append(index)
+                return index
+        position = bisect_left(stamps, tau)
+        if position < len(stamps):
+            if stamps[position] == tau:
+                return nodes[position]
+            if position:
+                raise GraphError(
+                    f"timeline of {node!r} only grows at its ends: cannot add "
+                    f"{tau} inside [{stamps[0]}, {stamps[-1]}]"
+                )
+        # First stamp, or a fresh boundary node ahead of the first stamp.
+        network = self.network
+        index = network.add_node((node, tau))
+        if stamps:
+            timeline.holds[0] = network.add_edge(index, nodes[0], math.inf)
+        stamps.insert(0, tau)
+        nodes.insert(0, index)
+        timeline.holds.insert(0, None)
         return index
 
     def _inject_timestamp(self, tau: Timestamp) -> None:
@@ -388,31 +412,28 @@ class IncrementalTransformedNetwork:
         flow: each half carries the original flow, realised by zeroing out
         the spanning edge and manually pushing the flow onto the halves.
         """
+        network = self.network
         for node, timeline in self._timeline.items():
-            position = _span_position(timeline, tau)
+            position = _span_position(timeline.stamps, tau)
             if position is None:
                 continue
-            before = timeline[position]
-            after = timeline[position + 1]
-            old_ref = self._hold_into.pop((node, after))
-            routed = self.network.flow_on(old_ref)
+            after = position + 1
+            nodes = timeline.nodes
+            holds = timeline.holds
+            spanning = holds[after]
+            routed = network.flow_on(spanning)
             # Disable the spanning edge entirely (capacity and flow to 0).
-            self.network.disable_edge(old_ref)
-
-            middle_label = (node, tau)
-            self.network.add_node(middle_label)
-            first = self.network.add_edge_labeled(
-                (node, before), middle_label, math.inf, kind=EdgeKind.HOLD, meta=node
-            )
-            second = self.network.add_edge_labeled(
-                middle_label, (node, after), math.inf, kind=EdgeKind.HOLD, meta=node
-            )
+            network.disable_edge(spanning)
+            middle = network.add_node((node, tau))
+            first = network.add_edge(nodes[position], middle, math.inf)
+            second = network.add_edge(middle, nodes[after], math.inf)
             if routed > 0:
-                self.network.push_on(first, routed)
-                self.network.push_on(second, routed)
-            self._hold_into[(node, tau)] = first
-            self._hold_into[(node, after)] = second
-            timeline.insert(position + 1, tau)
+                network.push_on(first, routed)
+                network.push_on(second, routed)
+            holds[after] = second
+            timeline.stamps.insert(after, tau)
+            nodes.insert(after, middle)
+            holds.insert(after, first)
 
     def _boundary_crossings(self, tau: Timestamp) -> list[tuple[int, float]]:
         """Positive flow entering ``<u, tau>`` along u's hold chain, u != s.
@@ -420,16 +441,18 @@ class IncrementalTransformedNetwork:
         After injection, all flow crossing the new start boundary does so on
         a hold edge whose head is exactly ``<u, tau>``.
         """
+        network = self.network
         crossings: list[tuple[int, float]] = []
         for node, timeline in self._timeline.items():
             if node == self.source:
                 continue
-            ref = self._hold_into.get((node, tau))
-            if ref is None:
+            stamps = timeline.stamps
+            position = bisect_left(stamps, tau)
+            if not position or position == len(stamps) or stamps[position] != tau:
                 continue
-            routed = self.network.flow_on(ref)
+            routed = network.flow_on(timeline.holds[position])
             if routed > _WITHDRAW_TOLERANCE:
-                crossings.append((self.network.index_of((node, tau)), routed))
+                crossings.append((timeline.nodes[position], routed))
         return crossings
 
     def _rebuild_arrival(self) -> None:
@@ -438,61 +461,52 @@ class IncrementalTransformedNetwork:
         After :meth:`advance_start` the inherited arrival labels are only
         lower bounds (they stem from an earlier source), which would make
         subsequent :meth:`extend_end` calls materialise edges no longer
-        reachable.  A structural BFS over the live transformed network is
-        exact: ``<u, tau>`` is reachable from ``<s, tau_s>`` iff value
-        could sit at ``u`` by time ``tau``.
+        reachable.  A structural search over the live transformed network
+        is exact: ``<u, tau>`` is reachable from ``<s, tau_s>`` iff value
+        could sit at ``u`` by time ``tau``.  Structural presence means an
+        edge with residual or routed flow (injection-disabled hold edges
+        have neither).
         """
         network = self.network
-        adj = network._adj  # noqa: SLF001 - hot path
-        retired = network._retired  # noqa: SLF001
         start = self.source_index
         seen = {start}
         stack = [start]
-        arrival: dict[NodeId, float] = {}
         while stack:
-            index = stack.pop()
-            node, tau = network.label_of(index)
-            known = arrival.get(node)
-            if known is None or tau < known:
-                arrival[node] = float(tau)
-            for arc in adj[index]:
-                if not arc.forward or retired[arc.head] or arc.head in seen:
-                    continue
-                # Structural presence: residual or routed flow positive
-                # (injection-disabled hold edges have both at zero).
-                if arc.cap <= 0 and adj[arc.head][arc.rev].cap <= 0:
-                    continue
-                seen.add(arc.head)
-                stack.append(arc.head)
+            for head in network.successors(stack.pop()):
+                if head not in seen and not network.is_retired(head):
+                    seen.add(head)
+                    stack.append(head)
+        arrival: dict[NodeId, float] = {}
+        for node, timeline in self._timeline.items():
+            for tau, index in zip(timeline.stamps, timeline.nodes):
+                if index in seen:
+                    arrival[node] = float(tau)
+                    break
         self._arrival = arrival
 
     def _retire_prefix(self, new_tau_s: Timestamp) -> None:
         """Retire all ``<u, tau>`` nodes with ``tau < new_tau_s``."""
-        for node, timeline in self._timeline.items():
-            cut = 0
-            while cut < len(timeline) and timeline[cut] < new_tau_s:
-                self.network.retire_node(
-                    self.network.index_of((node, timeline[cut]))
-                )
-                self._hold_into.pop((node, timeline[cut]), None)
-                cut += 1
-            if cut:
+        network = self.network
+        for timeline in self._timeline.values():
+            cut = bisect_left(timeline.stamps, new_tau_s)
+            if not cut:
+                continue
+            for index in timeline.nodes[:cut]:
+                network.retire_node(index)
+            del timeline.stamps[:cut]
+            del timeline.nodes[:cut]
+            del timeline.holds[:cut]
+            if timeline.holds:
                 # The hold edge into the first surviving stamp now dangles.
-                if cut < len(timeline):
-                    self._hold_into.pop((node, timeline[cut]), None)
-                del timeline[:cut]
-        self.source_capacity_arcs = [
-            ref
-            for ref in self.source_capacity_arcs
-            if not self.network.is_retired(ref.tail)
+                timeline.holds[0] = None
+        self._source_arcs = [
+            (tau, handle) for tau, handle in self._source_arcs if tau >= new_tau_s
         ]
 
 
 def _span_position(timeline: list[Timestamp], tau: Timestamp) -> int | None:
     """Index i with timeline[i] < tau < timeline[i+1], or None."""
-    import bisect
-
-    position = bisect.bisect_left(timeline, tau)
+    position = bisect_left(timeline, tau)
     if position < len(timeline) and timeline[position] == tau:
         return None  # node already has this stamp
     if position == 0 or position >= len(timeline):

@@ -19,8 +19,8 @@ on edges with stamps ``<= tau``, the included-edge list of *any* window
 so after ``O(d)`` sweeps (one per start; the same asymptotics BFQ+ pays)
 every one of the ``O(d^2)`` windows is two binary searches away.
 
-:meth:`WindowSkeleton.materialize` then builds the window **directly as a
-detached** :class:`~repro.flownet.residual.ResidualArena` — flat
+:meth:`WindowSkeleton.materialize` then builds the window **directly as a**
+:class:`~repro.flownet.residual.ResidualArena` — flat
 ``heads`` / ``caps`` / ``rev`` / ``slots`` arrays the persistent Dinic
 kernel consumes natively — bypassing :class:`~repro.flownet.network.
 FlowNetwork` entirely on the hot path.  The node set, hold chains and
@@ -44,8 +44,8 @@ from repro.temporal.edge import NodeId, Timestamp
 from repro.temporal.network import TemporalFlowNetwork
 
 #: Transform strategy used by BFQ / BFQ+ / BFQ* unless overridden.
-#: ``"skeleton"`` compiles once per query and slices windows into detached
-#: residual arenas; ``"object"`` is the original per-window
+#: ``"skeleton"`` compiles once per query and slices windows into residual
+#: arenas; ``"object"`` is the original per-window
 #: ``FlowNetwork`` construction, retained for differential testing.
 DEFAULT_TRANSFORM = "skeleton"
 
@@ -253,7 +253,7 @@ class WindowSkeleton:
             yield (eu[p], ev[p], taus[k], ecap[p])
 
     def materialize(self, tau_s: Timestamp, tau_e: Timestamp) -> "SkeletonWindow":
-        """Slice ``N_[tau_s, tau_e]`` directly into a detached residual arena.
+        """Slice ``N_[tau_s, tau_e]`` directly into a fresh residual arena.
 
         One pass over the bisect-found position prefix builds the flat
         ``heads`` / ``caps`` / ``rev`` / ``slots`` arrays the persistent
@@ -346,7 +346,7 @@ class WindowSkeleton:
         # reuses the existing node when the last sink stamp is already tau_e.
         sink_index = timeline_node(sink, tau_e)
 
-        arena = ResidualArena.detached(heads, caps, rev, slots)
+        arena = ResidualArena(heads, caps, rev, slots)
         return SkeletonWindow(
             skeleton=self,
             tau_s=tau_s,
@@ -361,7 +361,7 @@ class WindowSkeleton:
 
 
 class SkeletonWindow:
-    """One candidate window, materialised as a detached residual arena.
+    """One candidate window, materialised as its own residual arena.
 
     The arena is private to this window (fresh zero-flow residual state);
     :meth:`maxflow` runs the persistent flat Dinic kernel on it directly.
@@ -408,8 +408,8 @@ class SkeletonWindow:
     def maxflow(self, *, value_bound: float | None = None) -> MaxflowRun:
         """Run the persistent arena kernel on this window's arena.
 
-        Skeleton windows are detached arenas with no object graph, so the
-        engine's ``"object"`` kernel never reaches here.
+        Skeleton windows are arenas with no object graph, so the engine's
+        ``"object"`` kernel never reaches here.
         """
         from repro.flownet.algorithms.selector import arena_solve
 

@@ -1,21 +1,16 @@
-"""Resumable Dinic on a *persistent* flat residual arena.
+"""Resumable Dinic on a flat residual arena.
 
-On CPython a flat CSR layout is no win by itself when it is rebuilt per
-run — the O(|E|) flatten/write-back is pure overhead.  This kernel
-removes that overhead structurally: the flat arrays live in a
-:class:`~repro.flownet.residual.ResidualArena` attached to the network and
-maintained *incrementally* through the network's mutation hooks, so a
-resumed run (the BFQ+/BFQ* hot path — dozens of runs over one growing and
-shrinking network) touches no per-run conversion at all.  After a run,
-only the arcs actually saturated or relaxed are written back to the object
-graph, keeping both views byte-equivalent for ``flow_value()``,
-``certify_maxflow`` and the differential oracle.
+The kernel proper is :func:`arena_maxflow`: Dinic over a
+:class:`~repro.flownet.residual.ResidualArena`'s parallel arrays, resumable
+because it reads nothing but the current residual capacities.  It runs on
+the arenas that *own* their residual network — never on a copy of another
+store:
 
-The core loop is exposed as :func:`arena_maxflow`, which runs on *any*
-:class:`ResidualArena` — attached to a network or **detached**: the
-transform compiler (:mod:`repro.core.skeleton`) materialises candidate
-windows straight into detached arenas with no object graph behind them,
-and the kernel's write-back simply no-ops (``arena.arcs is None``).
+* the transform compiler (:mod:`repro.core.skeleton`) materialises each
+  BFQ candidate window straight into a fresh arena;
+* the incremental engine (:mod:`repro.core.incremental`) keeps one arena
+  per BFQ+/BFQ* state and grows, withdraws and retires on it in place, so
+  a resumed run (dozens per state) converts nothing.
 
 On top of the persistence, the kernel folds three constant-factor wins the
 object-graph walker cannot have:
@@ -33,29 +28,28 @@ object-graph walker cannot have:
   arrays cleared only where the previous BFS dirtied them, and the
   ``isinf`` guard disappears because ``inf - finite == inf``.
 
-**Measured honestly** (CPython 3.11): on the EXP-3 incremental-maxflow
-workload (BENCH_PR2.json: btc2011 / ctu13 / prosper, BFQ+ and BFQ*) the
-persistent arena cuts aggregate maxflow time from 4.45 s to 2.08 s — a
-2.1x over the object walker.  The remaining tax was the *transform*, not
-the maxflow: BFQ still built a dict-backed ``FlowNetwork`` per candidate
-window before this kernel saw an arc.  The EXP-4 transform-compiler
-workload (BENCH_PR4.json: same datasets, BFQ end-to-end) removes that too
-— skeleton-sliced detached arenas beat the per-window object-graph
-transform by 4.1x aggregate (per-dataset 2.8-4.2x), with BFQ+/BFQ* no
-slower on any dataset (1.05-1.87x).
+**Measured** (CPython 3.11): on the EXP-3 incremental-maxflow workload
+(BENCH_PR2.json: btc2011 / ctu13 / prosper, BFQ+ and BFQ*) the arena
+kernel cut aggregate maxflow time from 4.45 s to 2.08 s — a 2.1x over the
+object walker.  The EXP-4 transform-compiler workload (BENCH_PR4.json)
+added skeleton-sliced arenas for BFQ, 4.1x faster than the per-window
+object-graph transform.
 
 This is the engine's one arena kernel: every arena solve runs through
 :func:`repro.flownet.algorithms.selector.arena_solve`, which calls
 :func:`arena_maxflow`.  The object-graph
 :func:`~repro.flownet.algorithms.dinic.dinic` stays as its reference twin
-(``kernel="object"``).  See docs/algorithms.md.
+(``kernel="object"``).  :func:`dinic_flat_persistent` is the registry
+entry that runs the same kernel on a :class:`FlowNetwork`: it flattens the
+object graph into a throwaway arena and writes every capacity back, so it
+stays resumable through the ``Arc`` caps.  See docs/algorithms.md.
 
-The computed flow *value*, the certified min cut, and the arena/object
-byte-equivalence all match :func:`~repro.flownet.algorithms.dinic.dinic`
-exactly; the residual flow *assignment* may differ (both are maximum
-flows — sink-rooted and source-rooted level graphs admit different
-blocking flows), which the differential oracle accounts for by comparing
-values and certificates, not raw residuals.
+The computed flow *value* and the certified min cut match
+:func:`~repro.flownet.algorithms.dinic.dinic` exactly; the residual flow
+*assignment* may differ (both are maximum flows — sink-rooted and
+source-rooted level graphs admit different blocking flows), which the
+differential oracle accounts for by comparing values and certificates, not
+raw residuals.
 """
 
 from __future__ import annotations
@@ -63,7 +57,7 @@ from __future__ import annotations
 import math
 
 from repro.flownet.algorithms.base import MaxflowRun
-from repro.flownet.network import FLOW_EPSILON, FlowNetwork
+from repro.flownet.network import FLOW_EPSILON, Arc, FlowNetwork
 from repro.flownet.residual import ARENA_RETIRED, ARENA_UNREACHED, ResidualArena
 
 
@@ -74,33 +68,45 @@ def dinic_flat_persistent(
     *,
     value_bound: float | None = None,
 ) -> MaxflowRun:
-    """Resume Dinic on the network's persistent residual arena.
+    """Run the arena kernel on a :class:`FlowNetwork`, in place.
 
-    The first call builds and attaches the arena (one O(|V| + |E|) sweep);
-    every later call reuses it, provided all intervening mutations went
-    through the :class:`~repro.flownet.network.FlowNetwork` API (the
-    in-place object-graph solvers detach the arena defensively, forcing a
-    rebuild here rather than running on stale arrays).
+    Flattens the object graph into a throwaway arena (each edge's two arcs
+    on adjacent slots, node rows in adjacency order), runs
+    :func:`arena_maxflow` and writes every residual capacity back, so the
+    network's ``Arc`` caps carry the state a later call resumes from.
 
     ``value_bound`` is an optional *proof of maximality*: a caller-supplied
-    upper bound on how much this run can add (for the insertion sweep, the
-    Observation-2 sink capacity added since the last computed Maxflow —
-    place every new timeline node on the source side of the old min cut and
-    the only new crossing arcs are the sink-window arcs).  Once the run's
-    gain reaches the bound, no augmenting path can remain, so the kernel
-    returns without the otherwise-mandatory final failed BFS — the single
-    most expensive sweep of a resumed run.  A bound of zero certifies the
-    resumed state as already maximal in O(1).
+    upper bound on how much this run can add.  Once the run's gain reaches
+    it, no augmenting path can remain, so the kernel returns without the
+    otherwise-mandatory final failed BFS.  A bound of zero certifies the
+    state as already maximal in O(1).
     """
     if source == sink:
         return MaxflowRun(value=0.0)
-    arena = network.arena
-    if arena is None:
-        arena = ResidualArena(network)
-        network.attach_arena(arena)
-    else:
-        arena.sync(network)  # replay the structural journal in one batch
-    return arena_maxflow(arena, source, sink, value_bound=value_bound)
+    adj = network._adj  # noqa: SLF001 - flattening is internal by design
+    slots = [[0] * len(row) for row in adj]
+    heads: list[int] = []
+    caps: list[float] = []
+    arcs: list[Arc] = []
+    for tail, row in enumerate(adj):
+        for position, arc in enumerate(row):
+            if not arc.forward:
+                continue
+            reverse = adj[arc.head][arc.rev]
+            k = len(heads)
+            slots[tail][position] = k
+            slots[arc.head][arc.rev] = k + 1
+            heads += (arc.head, tail)
+            caps += (arc.cap, reverse.cap)
+            arcs += (arc, reverse)
+    arena = ResidualArena(heads, caps, [k ^ 1 for k in range(len(heads))], slots)
+    for index, retired in enumerate(network._retired):  # noqa: SLF001
+        if retired:
+            arena.retire_node(index)
+    run = arena_maxflow(arena, source, sink, value_bound=value_bound)
+    for arc, cap in zip(arcs, caps):
+        arc.cap = cap
+    return run
 
 
 def arena_maxflow(
@@ -112,11 +118,11 @@ def arena_maxflow(
 ) -> MaxflowRun:
     """The kernel proper: resumable Dinic over an arena's flat arrays.
 
-    Works identically on attached arenas (entered via
-    :func:`dinic_flat_persistent`, which syncs the journal first) and on
-    detached arenas built by the transform compiler — the only difference
-    is the final write-back, which is skipped when there are no ``Arc``
-    objects to mirror (``arena.arcs is None``).
+    Mutates ``arena.caps`` in place and records the min-cut certificate
+    (see :class:`~repro.flownet.residual.ResidualArena`).  ``value_bound``
+    is the optional proof of maximality described at
+    :func:`dinic_flat_persistent` — for the insertion sweep, the
+    Observation-2 sink capacity added since the last computed Maxflow.
     """
     if source == sink:
         return MaxflowRun(value=0.0)
@@ -132,7 +138,6 @@ def arena_maxflow(
     total = 0.0
     n_paths = 0
     phases = 0
-    touched: list[int] = []
     # Hot-loop locals: global/attribute lookups cost a dict probe per use on
     # CPython, and the loops below execute millions of steps per workload.
     eps = FLOW_EPSILON
@@ -205,8 +210,7 @@ def arena_maxflow(
 
         remaining = (value_bound - total) if bounded else math.inf
         gained, phase_paths, maximal_by_bound = run_blocking_flow(
-            heads, caps, rev, slots, level, iters, source, sink, touched,
-            remaining,
+            heads, caps, rev, slots, level, iters, source, sink, remaining,
         )
         total += gained
         n_paths += phase_paths
@@ -225,15 +229,6 @@ def arena_maxflow(
         # BFS if nothing pierces it.
         arena.cut_closed = True
         arena.cut_sink = sink
-
-    # ------------------------------------------------------------------
-    # Write back only the arcs this run actually touched.  Detached
-    # arenas (transform-compiler windows) have no object graph to mirror.
-    # ------------------------------------------------------------------
-    arcs = arena.arcs
-    if arcs is not None:
-        for k in touched:
-            arcs[k].cap = caps[k]
     return MaxflowRun(value=total, augmenting_paths=n_paths, phases=phases)
 
 
@@ -246,15 +241,13 @@ def run_blocking_flow(
     iters: list[int],
     source: int,
     sink: int,
-    touched: list[int],
     remaining_bound: float,
 ) -> tuple[float, int, bool]:
     """One blocking-flow phase over an admissible (sink-rooted) level graph.
 
     The levels come from the early-stopping BFS; the DFS below only
     needs ``level[head] == level[node] - 1`` admissibility.  Mutates ``caps`` / ``iters`` /
-    ``level`` in place, appends every modified slot to ``touched`` and
-    returns ``(gained, paths, hit_bound)`` where ``hit_bound`` reports
+    ``level`` in place and returns ``(gained, paths, hit_bound)`` where ``hit_bound`` reports
     that the accumulated gain reached ``remaining_bound`` (pass
     ``math.inf`` for unbounded runs) and the caller may skip the final
     certifying BFS.
@@ -289,11 +282,8 @@ def run_blocking_flow(
                 )
             for k in path_slots:
                 caps[k] -= bottleneck  # inf - finite stays inf
-            reverse_slots = list(map(rev_item, path_slots))
-            for k in reverse_slots:
+            for k in map(rev_item, path_slots):
                 caps[k] += bottleneck
-            touched += path_slots
-            touched += reverse_slots
             total += bottleneck
             n_paths += 1
             if total >= remaining_bound - eps:

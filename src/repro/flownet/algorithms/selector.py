@@ -5,9 +5,10 @@
 one :class:`ResidualArena` and stamps the executed kernel onto the returned
 :class:`~repro.flownet.algorithms.base.MaxflowRun`, so per-kernel
 accounting can attribute the time.  :func:`network_maxflow` is the
-engine's front door for an attached network: ``kernel="object"`` runs the
-reference object-graph Dinic, and ``"persistent"`` attaches (or
-journal-syncs) the arena and calls :func:`arena_solve`.
+incremental engine's front door: the engine's residual store decides the
+kernel — ``kernel="object"`` runs the reference object-graph Dinic on a
+:class:`FlowNetwork`, and ``"persistent"`` runs :func:`arena_solve` on a
+:class:`ResidualArena`.
 """
 
 from __future__ import annotations
@@ -33,27 +34,21 @@ def arena_solve(
 
 
 def network_maxflow(
-    network: FlowNetwork,
+    store: FlowNetwork | ResidualArena,
     source: int,
     sink: int,
     *,
     kernel: str = "persistent",
     value_bound: float | None = None,
 ) -> MaxflowRun:
-    """Run an engine kernel on an attached network (the engine's front door).
+    """Run an engine kernel on its residual store (the engine's front door).
 
-    ``"object"`` runs the pre-arena object-graph Dinic directly.
-    ``"persistent"`` first attaches (or journal-syncs) the network's
-    :class:`ResidualArena`, then dispatches through :func:`arena_solve`.
+    ``"object"`` runs the object-graph Dinic on a :class:`FlowNetwork`
+    (ignoring ``value_bound``); ``"persistent"`` dispatches a
+    :class:`ResidualArena` through :func:`arena_solve`.
     """
     if kernel == "object":
-        run = dinic(network, source, sink)
+        run = dinic(store, source, sink)
         run.kernel = "object"
         return run
-    arena = network.arena
-    if arena is None:
-        arena = ResidualArena(network)
-        network.attach_arena(arena)
-    else:
-        arena.sync(network)  # replay the structural journal in one batch
-    return arena_solve(arena, source, sink, value_bound=value_bound)
+    return arena_solve(store, source, sink, value_bound=value_bound)

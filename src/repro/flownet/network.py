@@ -1,7 +1,11 @@
 """Arc-based flow network with residual semantics.
 
-This is the workhorse data structure shared by every Maxflow solver and by
-the incremental delta-BFlow algorithms.  Design points:
+This is the object graph every classical Maxflow solver walks, the
+per-window transform of BFQ's ``transform="object"`` path, and the residual
+store of the incremental engine under ``kernel="object"``.  (The default
+persistent kernel keeps its residual network in a flat
+:class:`~repro.flownet.residual.ResidualArena` instead; the two stores are
+never mirrored into each other.)  Design points:
 
 * **Paired arcs.**  Every edge is stored as a pair of arcs: the forward arc
   starts with residual capacity equal to the edge capacity, the reverse arc
@@ -21,8 +25,9 @@ the incremental delta-BFlow algorithms.  Design points:
   marked *retired*; all traversals skip them.  This is O(1) per node and
   keeps arc handles stable.
 
-* **Snapshots.**  :meth:`clone` deep-copies the residual state so BFQ* can
-  branch the network at the moment the zig-zag pattern (Figure 5(c))
+* **Snapshots.**  :meth:`clone` deep-copies the residual state, and
+  :meth:`compacted_clone` does so without retired nodes — how BFQ*
+  branches the network at the moment the zig-zag pattern (Figure 5(c))
   requires it.
 
 * **Infinite capacities.**  Hold ("timestamp-inline") edges have capacity
@@ -33,9 +38,8 @@ the incremental delta-BFlow algorithms.  Design points:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Hashable, Iterator
+from typing import Callable, Hashable, Iterator, NamedTuple
 
 from repro.exceptions import GraphError, UnknownNodeError
 
@@ -85,9 +89,12 @@ class Arc:
         return f"Arc(head={self.head}, cap={self.cap}, {direction}, {self.kind.value})"
 
 
-@dataclass(frozen=True, slots=True)
-class EdgeRef:
-    """Stable handle to an edge: the forward arc's position in the network."""
+class EdgeRef(NamedTuple):
+    """Stable handle to an edge: the forward arc's position in the network.
+
+    A plain ``(tail, index)`` pair, so it also keys the handle maps that
+    :meth:`FlowNetwork.compacted_clone` returns.
+    """
 
     tail: int
     index: int
@@ -106,43 +113,6 @@ class FlowNetwork:
         self._index_of: dict[Label, int] = {}
         self._retired: list[bool] = []
         self._num_edges = 0
-        self._arena = None
-        # Monotone mutation counter, bumped by the same hooks that journal
-        # into an attached arena (structure and capacity changes alike).
-        # Lets observers fingerprint a network state without diffing arcs.
-        self._epoch = 0
-
-    @property
-    def epoch(self) -> int:
-        """Monotone mutation counter; bumps on any structural/capacity change."""
-        return self._epoch
-
-    # ------------------------------------------------------------------
-    # Residual arena (persistent CSR mirror)
-    # ------------------------------------------------------------------
-    @property
-    def arena(self):
-        """The attached :class:`~repro.flownet.residual.ResidualArena`."""
-        return self._arena
-
-    def attach_arena(self, arena) -> None:
-        """Attach a flat residual mirror; mutation hooks keep it in sync.
-
-        Structural growth is journaled lazily (``add_edge`` records the
-        endpoints; the arena catches up at the next kernel entry), while
-        capacity changes and retirements are applied eagerly.  The arena
-        stays synchronised only while every capacity change goes through
-        this class's API (:meth:`add_edge`, :meth:`push_on`,
-        :meth:`set_capacity`, :meth:`disable_edge`, :meth:`clear_flow`) or
-        through the persistent kernel.  Solvers that write ``Arc.cap``
-        directly must call :meth:`detach_arena` first — the in-place
-        object-graph solvers do so defensively.
-        """
-        self._arena = arena
-
-    def detach_arena(self) -> None:
-        """Drop the attached arena (it will be rebuilt on next kernel use)."""
-        self._arena = None
 
     # ------------------------------------------------------------------
     # Nodes
@@ -157,9 +127,6 @@ class FlowNetwork:
         self._labels.append(label)
         self._retired.append(False)
         self._index_of[label] = index
-        self._epoch += 1
-        # No arena hook: an attached arena discovers new nodes by length
-        # during its next sync().
         return index
 
     def has_node(self, label: Label) -> bool:
@@ -195,9 +162,6 @@ class FlowNetwork:
     def retire_node(self, index: int) -> None:
         """Mark a node as deleted; traversals will skip it."""
         self._retired[index] = True
-        self._epoch += 1
-        if self._arena is not None:
-            self._arena.on_retire_node(index)
 
     def retire_label(self, label: Label) -> None:
         """Retire a node by label."""
@@ -243,26 +207,6 @@ class FlowNetwork:
         self._adj[tail].append(forward)
         self._adj[head].append(reverse)
         self._num_edges += 1
-        self._epoch += 1
-        arena = self._arena
-        if arena is not None:
-            # Journal only; the arena mirrors the batch at kernel entry.
-            dirty = arena.dirty
-            dirty.append(tail)
-            dirty.append(head)
-            if arena.cut_closed and capacity > 0:
-                # Does the new arc pierce the recorded sink-side cut (head
-                # inside T, tail outside)?  Indices beyond the level array
-                # are nodes added after the certificate — outside T by
-                # construction.
-                level = arena.level
-                n_level = len(level)
-                if (
-                    head < n_level
-                    and level[head] >= 0
-                    and not (tail < n_level and level[tail] >= 0)
-                ):
-                    arena.cut_closed = False
         return EdgeRef(tail, fwd_pos)
 
     def add_edge_labeled(
@@ -320,24 +264,6 @@ class FlowNetwork:
         if not math.isinf(forward.cap):
             forward.cap -= amount
         reverse.cap += amount
-        self._epoch += 1
-        arena = self._arena
-        if arena is not None:
-            arena.on_edge_caps_changed(ref.tail, ref.index)
-            if arena.cut_closed:
-                # A push opens residual capacity in one direction: residual
-                # head -> tail for amount > 0, tail -> head for amount < 0.
-                # Invalidate the cut certificate if that arc *enters* the
-                # recorded sink side T from outside.
-                level = arena.level
-                n_level = len(level)
-                tail_in = ref.tail < n_level and level[ref.tail] >= 0
-                head_in = forward.head < n_level and level[forward.head] >= 0
-                if amount > 0:
-                    if tail_in and not head_in:
-                        arena.cut_closed = False
-                elif head_in and not tail_in:
-                    arena.cut_closed = False
 
     def set_capacity(self, ref: EdgeRef, capacity: float) -> None:
         """Reset an edge's capacity, preserving currently routed flow."""
@@ -348,13 +274,6 @@ class FlowNetwork:
                 f"new capacity {capacity} is below routed flow {routed}"
             )
         forward.cap = capacity - routed if not math.isinf(capacity) else math.inf
-        self._epoch += 1
-        arena = self._arena
-        if arena is not None:
-            arena.on_edge_caps_changed(ref.tail, ref.index)
-            # A capacity raise can open a residual arc out of S; this call
-            # is rare, so invalidate without checking endpoints.
-            arena.cut_closed = False
 
     def disable_edge(self, ref: EdgeRef) -> None:
         """Zero both residual directions of an edge (capacity *and* flow).
@@ -365,9 +284,6 @@ class FlowNetwork:
         """
         self.forward_arc(ref).cap = 0.0
         self.reverse_arc(ref).cap = 0.0
-        self._epoch += 1
-        if self._arena is not None:
-            self._arena.on_edge_caps_changed(ref.tail, ref.index)
 
     def iter_edges(self) -> Iterator[tuple[int, Arc]]:
         """Iterate (tail index, forward arc) for every edge."""
@@ -399,6 +315,15 @@ class FlowNetwork:
             total += arc.cap
         return total
 
+    def successors(self, index: int) -> list[int]:
+        """Heads of the node's edges that still carry capacity or flow."""
+        adj = self._adj
+        return [
+            arc.head
+            for arc in adj[index]
+            if arc.forward and (arc.cap > 0 or adj[arc.head][arc.rev].cap > 0)
+        ]
+
     def clear_flow(self) -> None:
         """Reset every edge to zero flow (restores full forward capacity)."""
         for tail, arcs in enumerate(self._adj):
@@ -408,9 +333,6 @@ class FlowNetwork:
                     if not math.isinf(arc.cap):
                         arc.cap += reverse.cap
                     reverse.cap = 0.0
-        self._epoch += 1
-        if self._arena is not None:
-            self._arena.resync()
 
     # ------------------------------------------------------------------
     # Snapshots
@@ -418,8 +340,6 @@ class FlowNetwork:
     def clone(self) -> "FlowNetwork":
         """Deep copy of the full residual state (labels, arcs, retirements)."""
         other = FlowNetwork.__new__(FlowNetwork)
-        other._arena = None  # arenas hold arc references; never shared
-        other._epoch = self._epoch
         other._labels = list(self._labels)
         other._index_of = dict(self._index_of)
         other._retired = list(self._retired)
@@ -435,7 +355,7 @@ class FlowNetwork:
     ) -> tuple["FlowNetwork", dict[tuple[int, int], EdgeRef]]:
         """Deep copy that drops retired nodes and their incident arcs.
 
-        Returns the compacted network together with a handle map from
+        Surviving nodes keep their relative order.  Returns the compacted network together with a handle map from
         ``(old tail index, old arc position)`` of every surviving *forward*
         arc to its new :class:`EdgeRef`, so callers can remap stored edge
         handles.  Dangling arcs (one retired endpoint) disappear; because
@@ -444,8 +364,6 @@ class FlowNetwork:
         node.
         """
         other = FlowNetwork.__new__(FlowNetwork)
-        other._arena = None
-        other._epoch = self._epoch
         node_map: dict[int, int] = {}
         other._labels = []
         other._index_of = {}

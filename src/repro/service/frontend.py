@@ -21,6 +21,9 @@ error (NDJSON) or a ``400`` (HTTP) and the connection closes cleanly; a
 bad ``Content-Length`` gets a ``400``, and one over :data:`LINE_LIMIT`
 (the same per-message cap NDJSON enforces) gets a ``413`` before any of
 the body is read; a body cut short by EOF closes the connection quietly.
+An HTTP client gets :data:`HTTP_READ_TIMEOUT` seconds to send its headers
+and body (else ``408``) and as long again to close after a final error
+reply; an NDJSON connection may idle between requests.
 """
 
 from __future__ import annotations
@@ -46,6 +49,11 @@ from repro.service.protocol import (
 #: Longest request line, HTTP header line and HTTP body the front end
 #: reads: the asyncio stream default, made explicit.
 LINE_LIMIT = 2**16
+
+#: Seconds an HTTP client gets to send its headers and body, and to close
+#: its end after an error reply.  A partial header or a short body then
+#: answers ``408`` instead of holding the connection open.
+HTTP_READ_TIMEOUT = 10.0
 
 _HTTP_METHODS = (b"GET", b"POST", b"HEAD", b"PUT", b"DELETE")
 _MESSAGE_ROUTES = ("/query", "/append", "/batch", "/topk", "/scan", "/patterns")
@@ -138,12 +146,17 @@ async def _readline(reader: asyncio.StreamReader) -> bytes | None:
 
 async def _linger(reader: asyncio.StreamReader, writer: asyncio.StreamWriter) -> None:
     """Send the reply written so far, then discard input until the client
-    closes: closing with unread input would reset the connection and
-    could destroy the reply in flight."""
+    closes (for at most :data:`HTTP_READ_TIMEOUT` seconds): closing with
+    unread input would reset the connection and could destroy the reply
+    in flight."""
     await writer.drain()
     if writer.can_write_eof():
         writer.write_eof()
-    while await reader.read(LINE_LIMIT):
+    try:
+        async with asyncio.timeout(HTTP_READ_TIMEOUT):
+            while await reader.read(LINE_LIMIT):
+                pass
+    except TimeoutError:
         pass
 
 
@@ -159,32 +172,15 @@ async def _serve_http(
         _http_respond(writer, 400, {"error": "malformed request line"})
         await writer.drain()
         return
-    content_length = 0
-    while True:
-        header = await _readline(reader)
-        if header is None:
-            _http_respond(writer, 400, {"error": f"header line exceeds {LINE_LIMIT} bytes"})
-            await _linger(reader, writer)
-            return
-        if header in (b"\r\n", b"\n", b""):
-            break
-        name, _, value = header.decode("latin-1").partition(":")
-        if name.strip().lower() == "content-length":
-            try:
-                content_length = int(value.strip())
-            except ValueError:
-                content_length = -1
-            if content_length < 0:
-                _http_respond(writer, 400, {"error": "bad Content-Length"})
-                await _linger(reader, writer)
-                return
-            if content_length > LINE_LIMIT:
-                _http_respond(
-                    writer, 413, {"error": f"body exceeds {LINE_LIMIT} bytes"}
-                )
-                await _linger(reader, writer)
-                return
-    body = await reader.readexactly(content_length) if content_length else b""
+    try:
+        async with asyncio.timeout(HTTP_READ_TIMEOUT):
+            status, body = await _read_http_request(reader)
+    except TimeoutError:
+        status, body = 408, f"request not received within {HTTP_READ_TIMEOUT} s"
+    if status != 200:
+        _http_respond(writer, status, {"error": body})
+        await _linger(reader, writer)
+        return
 
     path, _, query = target.partition("?")
     path = path.rstrip("/")
@@ -205,6 +201,29 @@ async def _serve_http(
     else:
         _http_respond(writer, 404, {"error": f"no route {method} {target}"})
     await writer.drain()
+
+
+async def _read_http_request(reader: asyncio.StreamReader) -> tuple[int, Any]:
+    """Read the headers and body: ``(200, body)``, or an error status and
+    its message."""
+    content_length = 0
+    while True:
+        header = await _readline(reader)
+        if header is None:
+            return 400, f"header line exceeds {LINE_LIMIT} bytes"
+        if header in (b"\r\n", b"\n", b""):
+            break
+        name, _, value = header.decode("latin-1").partition(":")
+        if name.strip().lower() == "content-length":
+            try:
+                content_length = int(value.strip())
+            except ValueError:
+                content_length = -1
+            if content_length < 0:
+                return 400, "bad Content-Length"
+            if content_length > LINE_LIMIT:
+                return 413, f"body exceeds {LINE_LIMIT} bytes"
+    return 200, await reader.readexactly(content_length) if content_length else b""
 
 
 def _patterns_message(query: str) -> dict[str, Any]:

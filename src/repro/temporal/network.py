@@ -57,9 +57,8 @@ class TemporalFlowNetwork:
         #   _in_prefix[v][i] = total capacity into v at _in_stamps[v][:i].
         self._in_prefix: dict[NodeId, list[float]] = {}
         self._stamps_dirty = False
-        # Monotone mutation counter.  Bumped at exactly the points that set
-        # _stamps_dirty (the hooks the residual arena's dirty journal also
-        # rides on), so observers — the service result cache above all —
+        # Monotone mutation counter, bumped by every edge append and every
+        # new node, so observers — the service result cache above all —
         # can fingerprint a network state as (id, epoch) and invalidate on
         # append without scanning edges.
         self._epoch = 0

@@ -5,6 +5,7 @@ import pytest
 from repro.core import IncrementalTransformedNetwork, build_transformed_network
 from repro.exceptions import InvalidIntervalError
 from repro.flownet import dinic
+from repro.flownet.algorithms.registry import ENGINE_KERNELS
 from repro.temporal import TemporalFlowNetwork
 
 
@@ -134,42 +135,55 @@ class TestDeletionCase:
 
 
 class TestClone:
+    """Clone and compaction, on both residual stores (one per kernel)."""
+
     def test_clone_is_independent(self, network):
-        state = IncrementalTransformedNetwork(network, "s", "t", 1, 4)
-        state.run_maxflow()
-        snapshot = state.clone()
-        state.extend_end(6)
-        state.run_maxflow()
-        # The snapshot still answers for [1, 4].
-        snapshot.run_maxflow()
-        assert snapshot.flow_value() == pytest.approx(scratch_value(network, 1, 4))
-        assert state.flow_value() == pytest.approx(scratch_value(network, 1, 6))
+        for kernel in ENGINE_KERNELS:
+            state = IncrementalTransformedNetwork(
+                network, "s", "t", 1, 4, kernel=kernel
+            )
+            state.run_maxflow()
+            snapshot = state.clone()
+            state.extend_end(6)
+            state.run_maxflow()
+            # The snapshot still answers for [1, 4].
+            snapshot.run_maxflow()
+            assert snapshot.flow_value() == pytest.approx(
+                scratch_value(network, 1, 4)
+            ), kernel
+            assert state.flow_value() == pytest.approx(
+                scratch_value(network, 1, 6)
+            ), kernel
 
     def test_clone_after_advance_is_compacted(self, network):
-        state = IncrementalTransformedNetwork(network, "s", "t", 1, 6)
-        state.run_maxflow()
-        state.advance_start(5)
-        before = state.network.num_nodes
-        snapshot = state.clone()
-        assert snapshot.network.num_nodes < before  # retired prefix dropped
-        snapshot.run_maxflow()
-        assert snapshot.flow_value() == pytest.approx(scratch_value(network, 5, 6))
+        for kernel in ENGINE_KERNELS:
+            state = IncrementalTransformedNetwork(
+                network, "s", "t", 1, 6, kernel=kernel
+            )
+            state.run_maxflow()
+            state.advance_start(5)
+            before = state.network.num_nodes
+            snapshot = state.clone()
+            # The retired prefix is dropped; the live nodes all survive.
+            assert snapshot.network.num_nodes < before, kernel
+            assert snapshot.network.num_nodes == state.num_nodes, kernel
+            assert snapshot.flow_value() == pytest.approx(state.flow_value())
+            snapshot.run_maxflow()
+            assert snapshot.flow_value() == pytest.approx(
+                scratch_value(network, 5, 6)
+            ), kernel
 
     def test_cloned_state_supports_full_lifecycle(self, network):
-        state = IncrementalTransformedNetwork(network, "s", "t", 1, 4)
-        state.run_maxflow()
-        snapshot = state.clone()
-        snapshot.extend_end(6)
-        snapshot.run_maxflow()
-        snapshot.advance_start(5)
-        snapshot.run_maxflow()
-        assert snapshot.flow_value() == pytest.approx(scratch_value(network, 5, 6))
-
-
-class TestAsTransformed:
-    def test_view_fields(self, network):
-        state = IncrementalTransformedNetwork(network, "s", "t", 1, 4)
-        view = state.as_transformed()
-        assert view.tau_s == 1 and view.tau_e == 4
-        assert view.source_index == state.source_index
-        assert view.flow_value() == state.flow_value()
+        for kernel in ENGINE_KERNELS:
+            state = IncrementalTransformedNetwork(
+                network, "s", "t", 1, 4, kernel=kernel
+            )
+            state.run_maxflow()
+            snapshot = state.clone()
+            snapshot.extend_end(6)
+            snapshot.run_maxflow()
+            snapshot.advance_start(5)
+            snapshot.run_maxflow()
+            assert snapshot.flow_value() == pytest.approx(
+                scratch_value(network, 5, 6)
+            ), kernel

@@ -1,17 +1,12 @@
 """Property tests for the persistent residual arena inside the engine.
 
-The incremental engine's ``kernel="persistent"`` path keeps a flat residual
-arena alive across ``extend_end`` / ``advance_start`` / ``run_maxflow``
-calls.  Hypothesis drives random operation sequences against a twin engine
-running the pre-persistent object-graph kernel and asserts, after every
-step:
-
-* the two kernels agree on the flow value (the *assignments* may differ —
-  both are maximum flows);
-* the arena still mirrors the object graph exactly (structure, residual
-  capacities, levels never out of range) — ``ResidualArena.mirrors`` is a
-  byte-level comparison of every parallel array against the adjacency
-  lists.
+The incremental engine's ``kernel="persistent"`` path keeps its state in a
+flat residual arena across ``extend_end`` / ``advance_start`` /
+``run_maxflow`` calls; ``kernel="object"`` keeps it in a ``FlowNetwork``.
+Hypothesis drives random operation sequences against both twins and
+asserts, after every step, that each twin's flow value equals a
+from-scratch Dinic on the same window's transformed network (the
+*assignments* may differ — all are maximum flows).
 
 The agreement matrix then checks the full BFQ* pipeline end to end: every
 registry kernel must produce the identical ``(density, interval,
@@ -26,7 +21,9 @@ from repro.core.bfq_plus import bfq_plus
 from repro.core.bfq_star import bfq_star
 from repro.core.incremental import IncrementalTransformedNetwork
 from repro.core.query import BurstingFlowQuery
+from repro.core.transform import build_transformed_network
 from repro.exceptions import SolverError
+from repro.flownet.algorithms.dinic import dinic
 from repro.flownet.algorithms.registry import ENGINE_KERNELS
 from repro.temporal import TemporalEdge, TemporalFlowNetwork
 
@@ -64,13 +61,22 @@ def _twins(network, tau_s, tau_e):
     return persistent, reference
 
 
-def _check_step(persistent, reference):
-    assert persistent.flow_value() == pytest.approx(
-        reference.flow_value(), abs=TOLERANCE
-    )
-    arena = persistent.network.arena
-    if arena is not None:  # attached lazily on the first kernel run
-        assert arena.mirrors(persistent.network)
+def _check_step(network, *twins):
+    """Every twin holds the Maxflow of its window, computed from scratch."""
+    for twin in twins:
+        transformed = build_transformed_network(
+            network, "n0", "n1", twin.tau_s, twin.tau_e
+        )
+        expected = dinic(
+            transformed.flow_network,
+            transformed.source_index,
+            transformed.sink_index,
+        ).value
+        assert twin.flow_value() == pytest.approx(expected, abs=TOLERANCE), (
+            twin.kernel,
+            twin.tau_s,
+            twin.tau_e,
+        )
 
 
 @settings(max_examples=60, deadline=None)
@@ -79,7 +85,7 @@ def _check_step(persistent, reference):
     st.data(),
 )
 def test_operation_sequences_keep_twins_equivalent(network, data):
-    """Random extend/advance/run interleavings: value + mirror invariants."""
+    """Random extend/advance/run interleavings keep both stores maximal."""
     t_min, t_max = network.t_min, network.t_max
     if t_max - t_min < 2:
         return
@@ -91,7 +97,7 @@ def test_operation_sequences_keep_twins_equivalent(network, data):
     persistent, reference = _twins(network, tau_s, tau_e)
     persistent.run_maxflow()
     reference.run_maxflow()
-    _check_step(persistent, reference)
+    _check_step(network, persistent, reference)
 
     for _ in range(data.draw(st.integers(min_value=1, max_value=4), label="steps")):
         can_extend = persistent.tau_e < t_max
@@ -121,7 +127,7 @@ def test_operation_sequences_keep_twins_equivalent(network, data):
             reference.advance_start(new_tau_s)
         persistent.run_maxflow()
         reference.run_maxflow()
-        _check_step(persistent, reference)
+        _check_step(network, persistent, reference)
 
 
 @settings(max_examples=40, deadline=None)
@@ -142,7 +148,7 @@ def test_value_bound_run_matches_unbounded_twin(network):
         reference.extend_end(new_tau_e)
         persistent.run_maxflow(value_bound=pending)
         reference.run_maxflow()
-        _check_step(persistent, reference)
+        _check_step(network, persistent, reference)
 
 
 def test_unknown_kernel_rejected(burst_network):

@@ -112,4 +112,3 @@ def test_persistent_resumability_matches_one_shot(net: FlowNetwork, extra_cap: i
     net.add_edge(net.num_nodes - 1, 1, float(extra_cap))
     resumed = first + dinic_flat_persistent(net, source, sink).value
     assert abs(resumed - one_shot) < TOLERANCE
-    assert net.arena is not None and net.arena.mirrors(net)

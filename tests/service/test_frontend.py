@@ -16,6 +16,7 @@ from contextlib import asynccontextmanager
 import pytest
 
 from repro.cluster import ClusterCoordinator, InlineReplica
+from repro.service import frontend
 from repro.service.frontend import LINE_LIMIT
 from repro.service.server import BurstingFlowService
 from repro.temporal import TemporalFlowNetwork
@@ -167,5 +168,40 @@ def test_http_content_length_over_limit_answers_413_without_waiting(kind, tmp_pa
     head, _, body = answer.partition(b"\r\n\r\n")
     assert head.startswith(b"HTTP/1.1 413 ")
     assert str(LINE_LIMIT) in json.loads(body)["error"]
+    assert pong["ok"] is True
+    assert errors == []
+
+
+STALLED_HTTP = {
+    "headers-without-blank-line": b"POST /query HTTP/1.1\r\nHost: x\r\n",
+    "body-shorter-than-content-length": (
+        b"POST /query HTTP/1.1\r\nHost: x\r\nContent-Length: 10\r\n\r\nabc"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(STALLED_HTTP))
+@pytest.mark.parametrize("kind", FRONT_ENDS)
+def test_stalled_http_request_answers_408(kind, case, tmp_path, monkeypatch):
+    monkeypatch.setattr(frontend, "HTTP_READ_TIMEOUT", 0.2)
+
+    async def scenario():
+        async with serving(kind, tmp_path) as (host, port, errors):
+            reader, writer = await asyncio.open_connection(host, port)
+            # Part of a request, then wait without closing: a server with
+            # no read deadline never answers.
+            writer.write(STALLED_HTTP[case])
+            await writer.drain()
+            async with asyncio.timeout(5):
+                answer = await reader.read()
+            writer.close()
+            await writer.wait_closed()
+            pong = await ping(host, port)
+        return answer, pong, errors
+
+    answer, pong, errors = asyncio.run(scenario())
+    head, _, body = answer.partition(b"\r\n\r\n")
+    assert head.startswith(b"HTTP/1.1 408 ")
+    assert "error" in json.loads(body)
     assert pong["ok"] is True
     assert errors == []
