@@ -50,17 +50,12 @@ def main() -> None:
             f"pruned={r.stats.pruned_intervals}"
         )
 
-    # The transform knob: "skeleton" (default) compiles the network once
-    # per query and slices candidate windows out of flat arrays;
-    # "object" rebuilds a transformed FlowNetwork per window — slower,
-    # but the reference the skeleton is differentially tested against.
-    # Same answers, different time; PhaseBreakdown shows where it went.
+    # Where a query's time went: window transform (slicing windows out of
+    # the network's time-ordered edge index) vs Maxflow vs pruning.
     from repro.core import PhaseBreakdown
 
-    for transform in ("skeleton", "object"):
-        r = find_bursting_flow(network, query, algorithm="bfq", transform=transform)
-        phases = PhaseBreakdown.from_stats(r.stats)
-        print(f"  transform={transform:<9} density={r.density:.1f}  {phases.format()}")
+    r = find_bursting_flow(network, query, algorithm="bfq")
+    print(f"  phases: {PhaseBreakdown.from_stats(r.stats).format()}")
 
     # BFQ's candidate windows are independent, so they can be sharded
     # across a process pool.  Only pays off when individual windows are

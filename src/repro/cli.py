@@ -80,12 +80,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="maxflow kernel for bfq+/bfq* (default: persistent)",
     )
     query.add_argument(
-        "--transform",
-        default=None,
-        choices=["skeleton", "object"],
-        help="window transform (default: skeleton — compiled per-query index)",
-    )
-    query.add_argument(
         "--parallel-windows",
         type=int,
         default=None,
@@ -115,12 +109,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         choices=list(ENGINE_KERNELS),
         help="maxflow kernel for the bfq* sweep (default: persistent)",
-    )
-    scan.add_argument(
-        "--transform",
-        default=None,
-        choices=["skeleton", "object"],
-        help="window transform for the sweep (default: skeleton)",
     )
     scan.add_argument(
         "--profile",
@@ -549,7 +537,6 @@ def _run_query(args: argparse.Namespace) -> int:
         BurstingFlowQuery(args.source, args.sink, args.delta),
         algorithm=args.algorithm,
         kernel=args.kernel,
-        transform=args.transform,
         parallel_windows=args.parallel_windows,
     )
     elapsed = time.perf_counter() - started
@@ -585,9 +572,7 @@ def _run_scan(args: argparse.Namespace) -> int:
             for fraction in args.delta_fractions.split(",")
         }
     )
-    detector = BurstDetector(
-        network, kernel=args.kernel, transform=args.transform
-    )
+    detector = BurstDetector(network, kernel=args.kernel)
     report = detector.scan(
         args.sources.split(","), args.sinks.split(","), deltas
     )

@@ -13,12 +13,9 @@ The structural extension itself still happens (it is cheap and later
 extensions build on it); a per-start ``pending`` accumulator keeps the
 pruning bound correct across consecutively pruned candidates.
 
-With ``transform="skeleton"`` (the default) one
-:class:`~repro.core.skeleton.WindowSkeleton` is compiled per query and
-shared by every per-start incremental state, replacing all per-extension
-reachability sweeps with binary-searched slices of the compiled per-start
-index; ``transform="object"`` keeps the original per-extension
-``reachable_edges`` path for differential testing.
+One :class:`~repro.core.skeleton.WindowSkeleton` is compiled per query
+and shared by every per-start incremental state, so every extension's
+edge inclusion is a binary-searched slice of the compiled per-start index.
 """
 
 from __future__ import annotations
@@ -34,7 +31,7 @@ from repro.core.query import (
     QueryStats,
 )
 from repro.core.record import BestRecord, should_prune
-from repro.core.skeleton import DEFAULT_TRANSFORM, WindowSkeleton, validate_transform
+from repro.core.skeleton import WindowSkeleton
 from repro.flownet.algorithms.registry import validate_kernel
 from repro.flownet.algorithms.selector import network_maxflow
 from repro.temporal.edge import Timestamp
@@ -51,7 +48,6 @@ def bfq_plus(
     *,
     use_pruning: bool = True,
     kernel: str = DEFAULT_KERNEL,
-    transform: str = DEFAULT_TRANSFORM,
 ) -> BurstingFlowResult:
     """Answer ``query`` with BFQ+ (insertion-case incremental Maxflow).
 
@@ -64,23 +60,17 @@ def bfq_plus(
             :data:`repro.flownet.algorithms.registry.ENGINE_KERNELS`:
             ``"persistent"`` (flat-array Dinic on the state's residual
             arena) or ``"object"`` (the Arc-walking reference engine).
-        transform: edge-inclusion backend — ``"skeleton"`` (one compiled
-            per-query index, default) or ``"object"`` (per-extension
-            reachability sweeps).
     """
     query.validate_against(network)
     kernel = validate_kernel(kernel)
-    transform = validate_transform(transform)
     stats = QueryStats()
     plan: CandidatePlan = enumerate_candidates(
         network, query.source, query.sink, query.delta
     )
     best = BestRecord()
-    skeleton: WindowSkeleton | None = None
-    if transform == "skeleton" and (plan.starts or plan.corner is not None):
-        t0 = time.perf_counter()
-        skeleton = WindowSkeleton(network, query.source, query.sink)
-        stats.transform_seconds += time.perf_counter() - t0
+    t0 = time.perf_counter()
+    skeleton = WindowSkeleton(network, query.source, query.sink)
+    stats.transform_seconds += time.perf_counter() - t0
 
     for tau_s in plan.starts:
         _sweep_endings(
@@ -92,19 +82,9 @@ def bfq_plus(
             stats,
             use_pruning=use_pruning,
             kernel=kernel,
-            transform=transform,
             skeleton=skeleton,
         )
-    _evaluate_corner(
-        network,
-        query,
-        plan,
-        best,
-        stats,
-        kernel=kernel,
-        transform=transform,
-        skeleton=skeleton,
-    )
+    _evaluate_corner(plan, best, stats, skeleton)
 
     return BurstingFlowResult(
         density=best.density,
@@ -123,9 +103,8 @@ def _sweep_endings(
     stats: QueryStats,
     *,
     use_pruning: bool,
-    kernel: str = DEFAULT_KERNEL,
-    transform: str = DEFAULT_TRANSFORM,
-    skeleton: WindowSkeleton | None = None,
+    kernel: str,
+    skeleton: WindowSkeleton,
 ) -> None:
     """Lines 4-11 of Algorithm 2 for one fixed ``tau_s``."""
     tau_e = tau_s + plan.delta
@@ -138,7 +117,6 @@ def _sweep_endings(
         tau_s,
         tau_e,
         kernel=kernel,
-        transform=transform,
         skeleton=skeleton,
     )
     t1 = time.perf_counter()
@@ -211,51 +189,28 @@ def _sweep_endings(
 
 
 def _evaluate_corner(
-    network: TemporalFlowNetwork,
-    query: BurstingFlowQuery,
     plan: CandidatePlan,
     best: BestRecord,
     stats: QueryStats,
-    *,
-    kernel: str = DEFAULT_KERNEL,
-    transform: str = DEFAULT_TRANSFORM,
-    skeleton: WindowSkeleton | None = None,
+    skeleton: WindowSkeleton,
 ) -> None:
     """Footnote-4 corner case: the clamped window ``[T_max - delta, T_max]``."""
     if plan.corner is None:
         return
     tau_s, tau_e = plan.corner
     stats.candidates_enumerated += 1
-    if transform == "skeleton":
-        t0 = time.perf_counter()
-        if skeleton is None:
-            skeleton = WindowSkeleton(network, query.source, query.sink)
-        window = skeleton.materialize(tau_s, tau_e)
-        t1 = time.perf_counter()
-        run = window.maxflow()
-        t2 = time.perf_counter()
-        size = window.num_nodes
-    else:
-        # The object transform's corner is one more minimal window, built
-        # in the kernel's own residual store.
-        t0 = time.perf_counter()
-        state = IncrementalTransformedNetwork(
-            network, query.source, query.sink, tau_s, tau_e,
-            kernel=kernel, transform=transform,
-        )
-        t1 = time.perf_counter()
-        run = network_maxflow(
-            state.network, state.source_index, state.sink_index, kernel=kernel
-        )
-        t2 = time.perf_counter()
-        size = state.num_nodes
+    t0 = time.perf_counter()
+    window = skeleton.materialize(tau_s, tau_e)
+    t1 = time.perf_counter()
+    run = network_maxflow(window.arena, window.source_index, window.sink_index)
+    t2 = time.perf_counter()
     stats.maxflow_runs += 1
     stats.note_kernel(run.kernel, t2 - t1)
     stats.augmenting_paths += run.augmenting_paths
     stats.record_sample(
         IntervalSample(
             interval=(tau_s, tau_e),
-            network_size=size,
+            network_size=window.num_nodes,
             mode="dinic",
             maxflow_seconds=t2 - t1,
             transform_seconds=t1 - t0,

@@ -16,11 +16,10 @@ current ``tau_s`` by:
 The snapshot then becomes the running state for the ``tau_s'`` iteration,
 and the insertion sweep for the current ``tau_s`` continues unchanged.
 
-As in BFQ+, ``transform="skeleton"`` (default) compiles one
-:class:`~repro.core.skeleton.WindowSkeleton` per query, shared by the
-running state and every snapshot it spawns — extensions after an
-``advance_start`` slice the per-start index of the *new* start instead of
-rebuilding arrival labels over the live graph.
+As in BFQ+, one :class:`~repro.core.skeleton.WindowSkeleton` is compiled
+per query, shared by the running state and every snapshot it spawns —
+extensions after an ``advance_start`` slice the per-start index of the
+*new* start.
 """
 
 from __future__ import annotations
@@ -37,7 +36,7 @@ from repro.core.query import (
     QueryStats,
 )
 from repro.core.record import BestRecord, should_prune
-from repro.core.skeleton import DEFAULT_TRANSFORM, WindowSkeleton, validate_transform
+from repro.core.skeleton import WindowSkeleton
 from repro.flownet.algorithms.registry import validate_kernel
 from repro.temporal.edge import Timestamp
 from repro.temporal.network import TemporalFlowNetwork
@@ -49,7 +48,6 @@ def bfq_star(
     *,
     use_pruning: bool = True,
     kernel: str = DEFAULT_KERNEL,
-    transform: str = DEFAULT_TRANSFORM,
 ) -> BurstingFlowResult:
     """Answer ``query`` with BFQ* (insertion + deletion incremental Maxflow).
 
@@ -60,22 +58,17 @@ def bfq_star(
         kernel: maxflow kernel for the incremental states (any name in
             :data:`repro.flownet.algorithms.registry.ENGINE_KERNELS`; see
             :mod:`repro.core.incremental`).
-        transform: edge-inclusion backend — ``"skeleton"`` (one compiled
-            per-query index, default) or ``"object"``.
     """
     query.validate_against(network)
     kernel = validate_kernel(kernel)
-    transform = validate_transform(transform)
     stats = QueryStats()
     plan: CandidatePlan = enumerate_candidates(
         network, query.source, query.sink, query.delta
     )
     best = BestRecord()
-    skeleton: WindowSkeleton | None = None
-    if transform == "skeleton" and (plan.starts or plan.corner is not None):
-        t0 = time.perf_counter()
-        skeleton = WindowSkeleton(network, query.source, query.sink)
-        stats.transform_seconds += time.perf_counter() - t0
+    t0 = time.perf_counter()
+    skeleton = WindowSkeleton(network, query.source, query.sink)
+    stats.transform_seconds += time.perf_counter() - t0
 
     if plan.starts:
         _zigzag(
@@ -86,19 +79,9 @@ def bfq_star(
             stats,
             use_pruning=use_pruning,
             kernel=kernel,
-            transform=transform,
             skeleton=skeleton,
         )
-    _evaluate_corner(
-        network,
-        query,
-        plan,
-        best,
-        stats,
-        kernel=kernel,
-        transform=transform,
-        skeleton=skeleton,
-    )
+    _evaluate_corner(plan, best, stats, skeleton)
 
     return BurstingFlowResult(
         density=best.density,
@@ -116,9 +99,8 @@ def _zigzag(
     stats: QueryStats,
     *,
     use_pruning: bool,
-    kernel: str = DEFAULT_KERNEL,
-    transform: str = DEFAULT_TRANSFORM,
-    skeleton: WindowSkeleton | None = None,
+    kernel: str,
+    skeleton: WindowSkeleton,
 ) -> None:
     """The Figure 5(c) evaluation pattern over all starting timestamps."""
     delta = plan.delta
@@ -131,7 +113,6 @@ def _zigzag(
         best,
         stats,
         kernel=kernel,
-        transform=transform,
         skeleton=skeleton,
     )
 
@@ -215,9 +196,8 @@ def _fresh_minimal_state(
     best: BestRecord,
     stats: QueryStats,
     *,
-    kernel: str = DEFAULT_KERNEL,
-    transform: str = DEFAULT_TRANSFORM,
-    skeleton: WindowSkeleton | None = None,
+    kernel: str,
+    skeleton: WindowSkeleton,
 ) -> IncrementalTransformedNetwork:
     """Build and solve the very first minimal window (Lines 3-5)."""
     stats.candidates_enumerated += 1
@@ -229,7 +209,6 @@ def _fresh_minimal_state(
         tau_s,
         tau_s + delta,
         kernel=kernel,
-        transform=transform,
         skeleton=skeleton,
     )
     t1 = time.perf_counter()

@@ -19,7 +19,6 @@ from repro.core.bfq import bfq
 from repro.core.bfq_plus import bfq_plus
 from repro.core.bfq_star import bfq_star
 from repro.core.query import BurstingFlowQuery, BurstingFlowResult
-from repro.core.skeleton import KNOWN_TRANSFORMS
 from repro.exceptions import InvalidQueryError
 from repro.temporal.edge import NodeId
 from repro.temporal.network import TemporalFlowNetwork
@@ -63,10 +62,6 @@ DEFAULT_ALGORITHM = "bfq*"
 #: (``"persistent"`` flat-array Dinic vs the ``"object"`` graph kernel).
 KERNEL_ALGORITHMS = frozenset({"bfq+", "bfq*"})
 
-#: Algorithms that accept a ``transform=`` choice (``"skeleton"`` compiled
-#: per-query window index vs the ``"object"`` per-window rebuild).
-TRANSFORM_ALGORITHMS = frozenset({"bfq", "bfq+", "bfq*"})
-
 
 def get_algorithm(name: str) -> Callable[..., BurstingFlowResult]:
     """Resolve a delta-BFlow algorithm by name (case-insensitive).
@@ -92,7 +87,6 @@ def find_bursting_flow(
     delta: int | None = None,
     algorithm: str = DEFAULT_ALGORITHM,
     kernel: str | None = None,
-    transform: str | None = None,
     parallel_windows: int | None = None,
     **kwargs,
 ) -> BurstingFlowResult:
@@ -113,11 +107,6 @@ def find_bursting_flow(
             ``"persistent"`` (flat-array, default) or ``"object"`` (the
             reference object-graph Dinic); only valid with ``algorithm``
             in ``"bfq+"``/``"bfq*"``.
-        transform: window-transform strategy — ``"skeleton"`` (compile the
-            query's window skeleton once and slice candidates into
-            residual arenas; the default) or ``"object"``
-            (per-window object-graph rebuild); only valid with
-            ``algorithm`` in ``"bfq"``/``"bfq+"``/``"bfq*"``.
         parallel_windows: shard BFQ's independent candidate windows over
             this many worker processes (``0`` means ``os.cpu_count()``).
             Only valid with ``algorithm="bfq"`` — BFQ+/BFQ* chain state
@@ -150,19 +139,6 @@ def find_bursting_flow(
                 f"algorithm {algorithm!r} has no incremental state"
             )
         kwargs["kernel"] = kernel
-    if transform is not None:
-        if algorithm.lower() not in TRANSFORM_ALGORITHMS:
-            raise InvalidQueryError(
-                f"transform={transform!r} only applies to "
-                f"{', '.join(sorted(TRANSFORM_ALGORITHMS))}; "
-                f"algorithm {algorithm!r} has no window transform"
-            )
-        if transform.lower() not in KNOWN_TRANSFORMS:
-            raise InvalidQueryError(
-                f"unknown transform {transform!r}; "
-                f"known: {', '.join(KNOWN_TRANSFORMS)}"
-            )
-        kwargs["transform"] = transform.lower()
     if parallel_windows is not None:
         if algorithm.lower() != "bfq":
             raise InvalidQueryError(

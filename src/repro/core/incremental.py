@@ -34,10 +34,16 @@ runs on, appended to directly) or a :class:`~repro.flownet.network.
 FlowNetwork` for ``kernel="object"`` (the reference Dinic's object graph).
 The engine logic below is written once, against the operations both stores
 provide: ``add_node`` / ``add_edge`` (returning an edge handle),
-``flow_on`` / ``push_on`` / ``disable_edge``, ``in_flow`` / ``out_flow`` /
-``successors``, ``retire_node`` / ``is_retired`` and ``compacted_clone``.
+``flow_on`` / ``push_on`` / ``disable_edge``, ``in_flow`` / ``out_flow``,
+``retire_node`` / ``is_retired`` and ``compacted_clone``.
 The engine keeps its own per-node timelines of store indices and edge
 handles, so it never asks a store for a label.
+
+**One inclusion path.**  Which temporal edges enter the state comes from a
+:class:`~repro.core.skeleton.WindowSkeleton`: every extension is a
+stamp-range slice of the current start's reachability index.  BFQ+/BFQ*
+share one skeleton across all of a query's states, and the streaming
+monitor shares one across its whole stream (a skeleton follows appends).
 """
 
 from __future__ import annotations
@@ -52,8 +58,7 @@ from repro.flownet.algorithms.registry import DEFAULT_ENGINE_KERNEL, validate_ke
 from repro.flownet.algorithms.selector import network_maxflow
 from repro.flownet.network import FlowNetwork
 from repro.flownet.residual import ResidualArena
-from repro.core.skeleton import DEFAULT_TRANSFORM, WindowSkeleton, validate_transform
-from repro.core.transform import reachable_edges
+from repro.core.skeleton import WindowSkeleton
 from repro.temporal.edge import NodeId, Timestamp
 from repro.temporal.network import TemporalFlowNetwork
 
@@ -96,36 +101,22 @@ class IncrementalTransformedNetwork:
         tau_e: Timestamp,
         *,
         kernel: str = DEFAULT_KERNEL,
-        transform: str = DEFAULT_TRANSFORM,
         skeleton: WindowSkeleton | None = None,
     ) -> None:
         if tau_e <= tau_s:
             raise InvalidIntervalError(f"window [{tau_s}, {tau_e}] is degenerate")
         self.kernel = validate_kernel(kernel)
-        self.transform = validate_transform(transform)
-        # Edge-inclusion backend.  ``"skeleton"`` answers every
-        # _include_window from the compiled per-start reachability index
-        # (shared across all of a query's states — BFQ+/BFQ* pass one in);
-        # ``"object"`` runs reachable_edges per extension and maintains
-        # the arrival-label dict.
-        if self.transform == "skeleton":
-            self._skeleton = (
-                skeleton
-                if skeleton is not None
-                else WindowSkeleton(temporal, source, sink)
-            )
-        else:
-            self._skeleton = None
+        # Every _include_window slices the skeleton's per-start
+        # reachability index (shared across all of a query's states —
+        # BFQ+/BFQ* and the streaming monitor pass one in).
+        self._skeleton = (
+            skeleton if skeleton is not None else WindowSkeleton(temporal, source, sink)
+        )
         self.temporal = temporal
         self.source = source
         self.sink = sink
         self.tau_s = tau_s
         self.tau_e = tau_e
-        # Earliest-arrival labels from the *original* source timestamp.
-        # After advance_start these become lower bounds for the current
-        # source, which keeps edge inclusion sound (a superset of the
-        # edges reachable from the current source is materialised).
-        self._arrival: dict[NodeId, float] = {}
         #: The state's one residual store (see the module docstring).
         self.network: ResidualArena | FlowNetwork = (
             FlowNetwork() if self.kernel == "object" else ResidualArena()
@@ -189,14 +180,12 @@ class IncrementalTransformedNetwork:
         """
         other = IncrementalTransformedNetwork.__new__(IncrementalTransformedNetwork)
         other.kernel = self.kernel
-        other.transform = self.transform
         other._skeleton = self._skeleton  # compiled index; safely shared
         other.temporal = self.temporal
         other.source = self.source
         other.sink = self.sink
         other.tau_s = self.tau_s
         other.tau_e = self.tau_e
-        other._arrival = dict(self._arrival)
         network = self.network
         other.network, edge_map = network.compacted_clone()
         # Both stores keep surviving nodes in order, so a live node's new
@@ -312,15 +301,10 @@ class IncrementalTransformedNetwork:
         self.tau_s = new_tau_s
         self._ensure_timeline_node(self.source, new_tau_s)
         self._sync_endpoints()
-        if self._skeleton is None:
-            self._rebuild_arrival()
-        # Skeleton mode needs no arrival rebuild: later extensions slice
-        # the per-start index of the *new* tau_s, a from-scratch temporal
-        # reachability.  That can be a superset of the live-graph labels
-        # the object path rebuilds (edges enabled only through dropped
-        # sink-out edges reappear), but such edges have no inflow in the
-        # materialised graph and cannot change any Maxflow value — the
-        # differential suite pins value equality across both modes.
+        # Later extensions slice the per-start index of the *new* tau_s, a
+        # from-scratch temporal reachability.  Edges it reaches only through
+        # dropped sink-out edges have no inflow in the live graph, so they
+        # cannot change any Maxflow value.
         return withdrawn
 
     # ------------------------------------------------------------------
@@ -337,18 +321,9 @@ class IncrementalTransformedNetwork:
         """Materialise reachable edges with timestamps in [tau_lo, tau_hi]."""
         if tau_hi < tau_lo:
             return
-        if self._skeleton is not None:
-            # The compiled per-start index: the same included-edge list, in
-            # the same order, as the reachable_edges call below — any
-            # window's inclusion set is a stamp-range slice of the current
-            # start's index (arrival labels only depend on earlier stamps).
-            included = self._skeleton.included_between(
-                self.tau_s, tau_lo, tau_hi
-            )
-        else:
-            included = reachable_edges(
-                self.temporal, self.source, tau_lo, tau_hi, arrival=self._arrival
-            )
+        # Any window's inclusion set is a stamp-range slice of the current
+        # start's index (arrival labels only depend on earlier stamps).
+        included = self._skeleton.included_between(self.tau_s, tau_lo, tau_hi)
         add_edge = self.network.add_edge
         ensure = self._ensure_timeline_node
         source = self.source
@@ -454,35 +429,6 @@ class IncrementalTransformedNetwork:
             if routed > _WITHDRAW_TOLERANCE:
                 crossings.append((timeline.nodes[position], routed))
         return crossings
-
-    def _rebuild_arrival(self) -> None:
-        """Recompute earliest arrivals from the *current* source.
-
-        After :meth:`advance_start` the inherited arrival labels are only
-        lower bounds (they stem from an earlier source), which would make
-        subsequent :meth:`extend_end` calls materialise edges no longer
-        reachable.  A structural search over the live transformed network
-        is exact: ``<u, tau>`` is reachable from ``<s, tau_s>`` iff value
-        could sit at ``u`` by time ``tau``.  Structural presence means an
-        edge with residual or routed flow (injection-disabled hold edges
-        have neither).
-        """
-        network = self.network
-        start = self.source_index
-        seen = {start}
-        stack = [start]
-        while stack:
-            for head in network.successors(stack.pop()):
-                if head not in seen and not network.is_retired(head):
-                    seen.add(head)
-                    stack.append(head)
-        arrival: dict[NodeId, float] = {}
-        for node, timeline in self._timeline.items():
-            for tau, index in zip(timeline.stamps, timeline.nodes):
-                if index in seen:
-                    arrival[node] = float(tau)
-                    break
-        self._arrival = arrival
 
     def _retire_prefix(self, new_tau_s: Timestamp) -> None:
         """Retire all ``<u, tau>`` nodes with ``tau < new_tau_s``."""

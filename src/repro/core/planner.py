@@ -3,15 +3,16 @@
 The paper's target workload is fleet scale — millions of overlapping
 ``(s, t, delta)`` queries, most of which share endpoints (the Grab case
 study sweeps a fixed suspect set at several deltas).  Answering each query
-independently recompiles a :class:`~repro.core.skeleton.WindowSkeleton`
-per query and re-solves every candidate-window Maxflow, even when two
-queries in the same batch enumerate the *same* window.
+independently re-runs a :class:`~repro.core.skeleton.WindowSkeleton`'s
+per-start reachability sweeps per query and re-solves every
+candidate-window Maxflow, even when two queries in the same batch
+enumerate the *same* window.
 
 The planner amortises both:
 
 1. **Grouping** — the batch is partitioned by ``(source, sink)``
-   (:func:`group_queries`); each group compiles **one** skeleton reused
-   across all of its queries and delta values.
+   (:func:`group_queries`); each group compiles **one** skeleton, whose
+   per-start sweeps are reused across all of its queries and delta values.
 2. **Window memoisation** — Lemma-2 candidate windows of different deltas
    overlap heavily (every window longer than both deltas is shared), so
    each group keeps a per-epoch :class:`WindowMemo` keyed on
@@ -31,7 +32,8 @@ flow value, tie-breaks).  The ``planner`` oracle backend differential-
 checks this on every fuzz trial.
 
 Epoch safety: the memo snapshots the network epoch at construction and
-refuses to serve after a mutation (matching the skeleton's own guard), so
+refuses to serve after a mutation (stricter than the skeleton's own
+guard, which follows appends at later stamps), so
 a streaming append can never leak a stale window value into an answer —
 the same invariant that makes the service's epoch-keyed result cache
 sound.

@@ -1,23 +1,32 @@
-"""Transform compiler: compile the temporal network once, slice per window.
+"""Transform compiler: slice every window out of the network's edge index.
 
 :func:`~repro.core.transform.build_transformed_network` rebuilds the
 transformed network ``N_[tau_s, tau_e]`` from scratch for every candidate
 window — node maps, ``Arc`` objects and a fresh reachability sweep per
-window, ``O(d^2)`` times per query.  After PR 2 moved the Maxflow inner
-loop onto flat arrays, that per-window object-graph construction dominates
-BFQ wall time and a large share of BFQ+/BFQ*.
+window, ``O(d^2)`` times per query.  It stays as the reference the oracle's
+``bfq`` backend checks everything against.
 
-:class:`WindowSkeleton` amortises it.  Per query it snapshots the temporal
-edge stream once into parallel arrays (timestamp-ordered, exactly the
-order ``edges_in_window`` yields), and lazily computes one *per-start
+:class:`WindowSkeleton` amortises it.  It holds a reference to the
+temporal network's own columnar :class:`~repro.temporal.network.EdgeIndex`
+(timestamp-ordered, exactly the order ``edges_in_window`` yields), so
+compiling one does no per-edge work.  It lazily computes one *per-start
 reachability index* for each starting timestamp ``tau_s`` the query
-touches: a single earliest-arrival sweep over the suffix ``[tau_s, t_max]``
+touches: a single earliest-arrival sweep over the suffix ``[tau_s, ...]``
 that replays :func:`~repro.core.transform.reachable_edges`'s per-timestamp
 fixpoint on array positions.  Because an edge's arrival label only depends
 on edges with stamps ``<= tau``, the included-edge list of *any* window
 ``[tau_s, tau_e]`` is a bisect-found **prefix** of that start's index —
 so after ``O(d)`` sweeps (one per start; the same asymptotics BFQ+ pays)
 every one of the ``O(d^2)`` windows is two binary searches away.
+
+**Validity.**  The network extends its index in place on appends, so a
+skeleton follows them.  It keeps serving across new edges at stamps later
+than every stamp it has served (its sweeps never consumed those groups)
+and across capacity merges (inclusion never depends on capacity, and the
+capacity column is read at slice time).  It raises
+:class:`~repro.exceptions.GraphError` once a new edge lands in a stamp
+group it already served, or once an out-of-order append made the network
+rebuild its index.
 
 :meth:`WindowSkeleton.materialize` then builds the window **directly as a**
 :class:`~repro.flownet.residual.ResidualArena` — flat
@@ -43,36 +52,14 @@ from repro.flownet.residual import ResidualArena
 from repro.temporal.edge import NodeId, Timestamp
 from repro.temporal.network import TemporalFlowNetwork
 
-#: Transform strategy used by BFQ / BFQ+ / BFQ* unless overridden.
-#: ``"skeleton"`` compiles once per query and slices windows into residual
-#: arenas; ``"object"`` is the original per-window
-#: ``FlowNetwork`` construction, retained for differential testing.
-DEFAULT_TRANSFORM = "skeleton"
-
-KNOWN_TRANSFORMS = ("skeleton", "object")
-
 _INF = math.inf
-
-
-def validate_transform(name: str) -> str:
-    """Normalise and validate a ``transform=`` choice.
-
-    Raises:
-        ValueError: for unknown names.
-    """
-    lowered = name.lower()
-    if lowered not in KNOWN_TRANSFORMS:
-        raise ValueError(
-            f"unknown transform {name!r}; known: {', '.join(KNOWN_TRANSFORMS)}"
-        )
-    return lowered
 
 
 class _StartIndex:
     """The (resumable) reachability index for one starting timestamp.
 
     ``positions[i]`` is the i-th included edge's position in the skeleton's
-    global edge arrays; ``taus[i]`` is its timestamp.  ``taus`` is
+    edge index; ``taus[i]`` is its timestamp.  ``taus`` is
     non-decreasing (the fixpoint emits whole timestamp groups in order), so
     the included set of ``[tau_s, tau_e]`` is ``positions[:bisect_right(
     taus, tau_e)]`` and an incremental extension ``(lo, hi]`` is an interior
@@ -91,31 +78,25 @@ class _StartIndex:
         self.positions: list[int] = []
         self.taus: list[Timestamp] = []
         self.arrival: dict[NodeId, float] = {source: float(tau_s)}
-        #: Global array position of the first unswept edge (whole timestamp
+        #: Edge-index position of the first unswept edge (whole timestamp
         #: groups are swept atomically, so this always sits on a boundary).
         self.next_pos = next_pos
 
 
 class WindowSkeleton:
-    """A per-query compilation of the temporal network (see module docs).
+    """The window transform of one ``(network, source, sink)`` triple.
 
-    Compile once per ``(network, source, sink)`` triple; windows of *any*
-    ``[tau_s, tau_e]`` can then be sliced out.  The skeleton snapshots the
-    edge stream at compile time and refuses to serve windows after the
-    temporal network mutates (the epoch check), since its arrays would be
-    stale.
+    Windows of *any* ``[tau_s, tau_e]`` can be sliced out; see the module
+    docs for the rule that decides when a skeleton stops serving them.
     """
 
     __slots__ = (
         "temporal",
         "source",
         "sink",
-        "_epoch",
-        "_eu",
-        "_ev",
-        "_etau",
-        "_ecap",
-        "_keep",
+        "_index",
+        "_served_upto",
+        "_served_end",
         "_start_cache",
     )
 
@@ -125,30 +106,12 @@ class WindowSkeleton:
         self.temporal = temporal
         self.source = source
         self.sink = sink
-        self._epoch = temporal.epoch
-        # Parallel snapshot of every temporal edge, in edges_in_window
-        # order (timestamp-major, insertion order within a timestamp) —
-        # the order the reachability fixpoint depends on.
-        eu: list[NodeId] = []
-        ev: list[NodeId] = []
-        etau: list[Timestamp] = []
-        ecap: list[float] = []
-        keep: list[bool] = []
-        if temporal.num_timestamps:
-            for edge in temporal.edges_in_window(temporal.t_min, temporal.t_max):
-                eu.append(edge.u)
-                ev.append(edge.v)
-                etau.append(edge.tau)
-                ecap.append(edge.capacity)
-                # assemble() drops edges out of the sink / into the source
-                # (they can never carry s-t flow); they still propagate
-                # arrival labels, so they stay in the sweep below.
-                keep.append(edge.u != sink and edge.v != source)
-        self._eu = eu
-        self._ev = ev
-        self._etau = etau
-        self._ecap = ecap
-        self._keep = keep
+        self._index = temporal.edge_index
+        # The highest stamp any slice was served through, and the index
+        # length past that stamp's group when it was: an edge appended
+        # later at or below that stamp would change a served window.
+        self._served_upto: float = -_INF
+        self._served_end = 0
         self._start_cache: dict[Timestamp, _StartIndex] = {}
 
     # ------------------------------------------------------------------
@@ -164,21 +127,27 @@ class WindowSkeleton:
                 to this stamp (``None`` only fetches the index).
 
         Raises:
-            GraphError: when the temporal network mutated after compile
-                (the snapshot arrays would serve stale windows).
+            GraphError: when the network rebuilt its edge index, or gained
+                an edge in a stamp group already served (see module docs).
         """
-        if self.temporal.epoch != self._epoch:
+        edges = self._index
+        etau = edges.etau
+        served_end = self._served_end
+        if self.temporal.edge_index is not edges or (
+            served_end < len(etau) and etau[served_end] <= self._served_upto
+        ):
             raise GraphError(
                 "temporal network mutated after skeleton compile; "
                 "build a fresh WindowSkeleton"
             )
         index = self._start_cache.get(tau_s)
         if index is None:
-            index = _StartIndex(
-                self.source, tau_s, bisect_left(self._etau, tau_s)
-            )
+            index = _StartIndex(self.source, tau_s, bisect_left(etau, tau_s))
             self._start_cache[tau_s] = index
         if upto is not None:
+            if upto > self._served_upto:
+                self._served_upto = upto
+                self._served_end = bisect_right(etau, upto)
             self._sweep(index, upto)
         return index
 
@@ -189,9 +158,10 @@ class WindowSkeleton:
         its per-timestamp fixpoint and emission order — on array positions,
         resuming where the previous call stopped.
         """
-        eu = self._eu
-        ev = self._ev
-        etau = self._etau
+        edges = self._index
+        eu = edges.eu
+        ev = edges.ev
+        etau = edges.etau
         arrival = index.arrival
         arrival_get = arrival.get
         positions = index.positions
@@ -242,9 +212,10 @@ class WindowSkeleton:
         if hi < lo:
             return
         index = self.start_index(tau_s, upto=hi)
-        eu = self._eu
-        ev = self._ev
-        ecap = self._ecap
+        edges = self._index
+        eu = edges.eu
+        ev = edges.ev
+        ecap = edges.ecap
         taus = index.taus
         start = bisect_left(taus, lo)
         stop = bisect_right(taus, hi)
@@ -271,10 +242,10 @@ class WindowSkeleton:
         positions = index.positions
         stop = bisect_right(taus, tau_e)
 
-        eu = self._eu
-        ev = self._ev
-        ecap = self._ecap
-        keep = self._keep
+        edges = self._index
+        eu = edges.eu
+        ev = edges.ev
+        ecap = edges.ecap
         source = self.source
         sink = self.sink
 
@@ -322,10 +293,13 @@ class WindowSkeleton:
 
         for k in range(stop):
             p = positions[k]
-            if not keep[p]:
-                continue
             u = eu[p]
             v = ev[p]
+            if u == sink or v == source:
+                # assemble() drops edges out of the sink / into the source:
+                # they never carry s-t flow (they still propagate arrival
+                # labels, so the sweep keeps them).
+                continue
             tau = taus[k]
             tail = timeline_node(u, tau)
             head = timeline_node(v, tau)

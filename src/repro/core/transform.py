@@ -154,8 +154,9 @@ def reachable_edges(
     (``s -> a`` and ``a -> b`` both at ``tau``).
 
     Args:
-        arrival: optional pre-existing arrival labels to extend (used by the
-            incremental structure).  Mutated in place when given.
+        arrival: optional pre-existing arrival labels to extend, so
+            consecutive calls resume one sweep.  Mutated in place when
+            given.
     """
     if arrival is None:
         arrival = {}

@@ -13,7 +13,12 @@ timestamps.  This is the standard stream-processing contract and is what
 makes incremental evaluation sound — batches at one timestamp are handled
 atomically, so no late edge can land inside an already-evaluated window.
 
-The engine underneath is the Section-5 machinery:
+The engine underneath is the Section-5 machinery, on one
+:class:`~repro.core.skeleton.WindowSkeleton` compiled when the monitor is
+created and shared by every window state.  The stream only ever appends at
+or after the newest stamp, and a timestamp is evaluated only once it is
+complete, so the skeleton follows the growing network without ever being
+asked about a stamp group that later gains an edge:
 
 * each starting timestamp in ``Ti(s)`` owns one insertion-case incremental
   transformed network, constructed lazily when its minimal window
@@ -23,7 +28,8 @@ The engine underneath is the Section-5 machinery:
   candidate endings ``Ti(t)`` of the offline enumeration;
 * the Observation-2 bound skips Maxflow runs that cannot beat the best
   density (the skipped sink capacity keeps accumulating, so the bound
-  stays exact).
+  stays exact);
+* the footnote-4 corner window is one more slice of the same skeleton.
 
 The monitor's answers match the offline ``find_bursting_flow`` on the
 edges seen so far — the test-suite asserts exactly that equivalence.
@@ -34,9 +40,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core.incremental import IncrementalTransformedNetwork
-from repro.core.transform import build_transformed_network
+from repro.core.skeleton import WindowSkeleton
 from repro.exceptions import InvalidQueryError, InvalidTimestampError
-from repro.flownet.algorithms.dinic import dinic
 from repro.temporal.edge import NodeId, TemporalEdge, Timestamp
 from repro.temporal.network import TemporalFlowNetwork
 
@@ -79,6 +84,7 @@ class StreamingBurstMonitor:
         self.sink = sink
         self.delta = delta
         self.network = TemporalFlowNetwork()
+        self._skeleton = WindowSkeleton(self.network, source, sink)
         self._windows: dict[Timestamp, _Window] = {}
         self._best = BurstRecord(0.0, None, 0.0)
         self._batch: list[TemporalEdge] = []
@@ -208,17 +214,13 @@ class StreamingBurstMonitor:
             # All edges of [start, minimal_end] have arrived (now >= end of
             # the minimal window and the stream is time-ordered beyond the
             # open batch), so the state can be built exactly once.
-            # The stream keeps mutating the network after this state is
-            # built, so the compiled-skeleton transform (a frozen per-query
-            # snapshot) cannot serve it; the object transform recomputes
-            # reachability against the live network on every extension.
             window.state = IncrementalTransformedNetwork(
                 self.network,
                 self.source,
                 self.sink,
                 window.start,
                 minimal_end,
-                transform="object",
+                skeleton=self._skeleton,
             )
             window.state.run_maxflow()
             self._maxflow_runs += 1
@@ -268,14 +270,7 @@ class StreamingBurstMonitor:
         if not overshoot:
             return
         lo, hi = t_max - self.delta, t_max
-        transformed = build_transformed_network(
-            self.network, self.source, self.sink, lo, hi
-        )
-        value = dinic(
-            transformed.flow_network,
-            transformed.source_index,
-            transformed.sink_index,
-        ).value
+        value = self._skeleton.materialize(lo, hi).maxflow().value
         self._maxflow_runs += 1
         self._offer(value, lo, hi)
 

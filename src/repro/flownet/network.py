@@ -1,8 +1,8 @@
 """Arc-based flow network with residual semantics.
 
 This is the object graph every classical Maxflow solver walks, the
-per-window transform of BFQ's ``transform="object"`` path, and the residual
-store of the incremental engine under ``kernel="object"``.  (The default
+per-window transform the oracle's reference ``bfq`` backend rebuilds, and
+the residual store of the incremental engine under ``kernel="object"``.  (The default
 persistent kernel keeps its residual network in a flat
 :class:`~repro.flownet.residual.ResidualArena` instead; the two stores are
 never mirrored into each other.)  Design points:

@@ -1,9 +1,11 @@
 """The differential runner: every backend, one query, zero tolerance.
 
 For each :class:`~repro.oracle.cases.FuzzCase` the runner executes every
-registered backend (``bfq`` pinned to the object-graph transform,
-``bfq-skel`` — BFQ pinned to the compiled-skeleton transform, so every
-trial also cross-checks the transform compiler — BFQ+, BFQ*, the
+registered backend (``bfq`` — the per-window reference that rebuilds every
+candidate window with ``build_transformed_network`` and solves it with the
+object-graph Dinic, ``bfq-skel`` — the library's BFQ on the compiled
+skeleton, so every trial also cross-checks the transform compiler — BFQ+,
+BFQ*, the
 ``planner`` backend that answers through a shared-skeleton batch with
 duplicate and overlapping-delta companions, the naive ``O(|T|^2)``
 oracle, the NetworkX-backed baseline, and the ``service`` backend that
@@ -43,8 +45,12 @@ from repro.baselines.networkx_backend import networkx_bfq
 from repro.core.bfq import bfq
 from repro.core.bfq_plus import bfq_plus
 from repro.core.bfq_star import bfq_star
+from repro.core.intervals import enumerate_candidates
 from repro.core.planner import planner_bfq
-from repro.core.query import BurstingFlowResult
+from repro.core.query import BurstingFlowQuery, BurstingFlowResult, QueryStats
+from repro.core.record import BestRecord
+from repro.core.transform import build_transformed_network
+from repro.flownet.algorithms.dinic import dinic
 from repro.oracle.cases import CaseLibrary, FuzzCase
 from repro.oracle.certificate import check_certificate
 from repro.oracle.generators import CaseGenerator, resolve_generators
@@ -52,20 +58,44 @@ from repro.cluster.backend import cluster_bfq
 from repro.mining.backend import mining_bfq
 from repro.service.backend import service_bfq
 from repro.temporal.edge import Timestamp
+from repro.temporal.network import TemporalFlowNetwork
 
 #: Relative tolerance for cross-backend density/value agreement.  Wider
 #: than the tie-break epsilon (backends may sum float flow in different
 #: orders) but far below anything an off-by-one bug could produce.
 AGREEMENT_EPSILON = 1e-9
 
-def _bfq_object(network, query, **kwargs) -> BurstingFlowResult:
-    """BFQ pinned to the per-window object-graph transform."""
-    return bfq(network, query, transform="object", **kwargs)
+def _bfq_reference(
+    network: TemporalFlowNetwork, query: BurstingFlowQuery
+) -> BurstingFlowResult:
+    """BFQ over the Lemma-2 plan, one from-scratch transform per window.
 
-
-def _bfq_skeleton(network, query, **kwargs) -> BurstingFlowResult:
-    """BFQ pinned to the compiled-skeleton transform (arena slicing)."""
-    return bfq(network, query, transform="skeleton", **kwargs)
+    Every candidate window is rebuilt by :func:`build_transformed_network`
+    (the paper's per-window construction, Section 4.1) and solved by the
+    object-graph Dinic — no skeleton, no arena, no edge index slicing.
+    """
+    query.validate_against(network)
+    stats = QueryStats()
+    best = BestRecord()
+    plan = enumerate_candidates(network, query.source, query.sink, query.delta)
+    for tau_s, tau_e in plan.intervals():
+        transformed = build_transformed_network(
+            network, query.source, query.sink, tau_s, tau_e
+        )
+        run = dinic(
+            transformed.flow_network,
+            transformed.source_index,
+            transformed.sink_index,
+        )
+        stats.candidates_enumerated += 1
+        stats.maxflow_runs += 1
+        best.offer(run.value, tau_s, tau_e)
+    return BurstingFlowResult(
+        density=best.density,
+        interval=best.interval,
+        flow_value=best.value,
+        stats=stats,
+    )
 
 
 def _bfq_star_object(network, query, **kwargs) -> BurstingFlowResult:
@@ -73,14 +103,14 @@ def _bfq_star_object(network, query, **kwargs) -> BurstingFlowResult:
     return bfq_star(network, query, kernel="object", **kwargs)
 
 
-#: All differential backends, in execution order.  ``bfq`` is pinned to
-#: the object transform and ``bfq-skel`` to the skeleton transform, so
-#: every fuzz case cross-checks the compiled window skeleton against the
-#: original per-window rebuild; ``bfq+``/``bfq*`` run the default
-#: (skeleton) transform through the incremental engine.
+#: All differential backends, in execution order.  ``bfq`` is the
+#: per-window reference and ``bfq-skel`` the library's BFQ, so every fuzz
+#: case cross-checks the compiled window skeleton against the paper's
+#: per-window rebuild; ``bfq+``/``bfq*`` slice the same skeleton through
+#: the incremental engine.
 BACKENDS: Mapping[str, Callable[..., BurstingFlowResult]] = {
-    "bfq": _bfq_object,
-    "bfq-skel": _bfq_skeleton,
+    "bfq": _bfq_reference,
+    "bfq-skel": bfq,
     "bfq+": bfq_plus,
     "bfq*": bfq_star,
     # BFQ* pinned to the reference object-graph kernel, so every fuzz case

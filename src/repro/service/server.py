@@ -151,7 +151,7 @@ class BurstingFlowService:
         network: the temporal flow network to serve (appends mutate it).
         algorithm: default solution when requests do not name one.  Every
             solve runs the library's default engine (persistent maxflow
-            kernel, skeleton window transform).
+            kernel).
         processes: engine parallelism.  ``None`` or ``1`` solves on
             threads against the live network (:class:`InlineEngine`);
             ``>= 2`` (or ``0`` = cpu count) uses an epoch-aware process

@@ -19,6 +19,14 @@ throughout the algorithms:
 * ``Ti(u)``          — timestamps of u's edges that may be part of s-t flows
   (for a source this is ``TiStamp_out``, for a sink ``TiStamp_in``, and the
   union for everything else) — Table 1 of the paper.
+
+It also owns one columnar :class:`EdgeIndex` of every edge in
+:meth:`~TemporalFlowNetwork.edges_in_window` order — the time-ordered layout
+every window transform slices.  A new edge at a stamp no earlier than the
+last indexed stamp is appended to it in place and a capacity merge patches
+its capacity column in place; only a new edge *below* the last stamp drops
+the index, and :meth:`~TemporalFlowNetwork._refresh_indexes` rebuilds it as
+a new object.
 """
 
 from __future__ import annotations
@@ -29,6 +37,34 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 from repro.exceptions import InvalidTimestampError, ReproError, UnknownNodeError
 from repro.temporal.edge import NodeId, TemporalEdge, Timestamp, validate_capacity
+
+
+class EdgeIndex:
+    """Every temporal edge as four parallel columns, ordered by timestamp.
+
+    ``eu[p] -> ev[p]`` at stamp ``etau[p]`` with merged capacity
+    ``ecap[p]``.  The order is exactly :meth:`TemporalFlowNetwork.
+    edges_in_window`'s: timestamp-major, insertion order within a stamp —
+    the order the transform's reachability fixpoint depends on.
+    """
+
+    __slots__ = ("eu", "ev", "etau", "ecap")
+
+    def __init__(self) -> None:
+        self.eu: list[NodeId] = []
+        self.ev: list[NodeId] = []
+        self.etau: list[Timestamp] = []
+        self.ecap: list[float] = []
+
+    def position(self, u: NodeId, v: NodeId, tau: Timestamp) -> int:
+        """Position of edge ``(u, v, tau)`` (which must be indexed)."""
+        eu = self.eu
+        ev = self.ev
+        etau = self.etau
+        for p in range(bisect.bisect_left(etau, tau), bisect.bisect_right(etau, tau)):
+            if eu[p] == u and ev[p] == v:
+                return p
+        raise KeyError((u, v, tau))
 
 
 class TemporalFlowNetwork:
@@ -46,9 +82,6 @@ class TemporalFlowNetwork:
         # Sorted unique timestamps with out-going / in-coming edges, per node.
         self._out_stamps: dict[NodeId, list[Timestamp]] = defaultdict(list)
         self._in_stamps: dict[NodeId, list[Timestamp]] = defaultdict(list)
-        # Edges grouped by timestamp for windowed traversal:
-        #   tau -> list of (u, v) pairs with an edge at tau.
-        self._edges_at: dict[Timestamp, list[tuple[NodeId, NodeId]]] = defaultdict(list)
         # Out-adjacency grouped per node: u -> tau -> list of v.
         self._out_adj: dict[NodeId, dict[Timestamp, list[NodeId]]] = defaultdict(dict)
         self._nodes: set[NodeId] = set()
@@ -56,6 +89,11 @@ class TemporalFlowNetwork:
         # Per-node in-capacity prefix sums aligned with _in_stamps[v]:
         #   _in_prefix[v][i] = total capacity into v at _in_stamps[v][:i].
         self._in_prefix: dict[NodeId, list[float]] = {}
+        # Per-node count of distinct in-coming temporal edges.
+        self._in_deg: dict[NodeId, int] = {}
+        # The columnar edge index; None while an out-of-order append has
+        # left it to be rebuilt by _refresh_indexes.
+        self._index: EdgeIndex | None = EdgeIndex()
         self._stamps_dirty = False
         # Monotone mutation counter, bumped by every edge append and every
         # new node, so observers — the service result cache above all —
@@ -81,14 +119,24 @@ class TemporalFlowNetwork:
     def add_edge(self, edge: TemporalEdge) -> None:
         """Insert one temporal edge, merging capacity with any duplicate."""
         key = edge.key()
+        index = self._index
         if key in self._capacity:
             self._capacity[key] += edge.capacity
+            if index is not None:
+                index.ecap[index.position(*key)] = self._capacity[key]
             # Structure is unchanged but the in-capacity prefix sums are
             # now stale; _refresh_indexes rebuilds them.
             self._stamps_dirty = True
         else:
             self._capacity[key] = edge.capacity
-            self._edges_at[edge.tau].append((edge.u, edge.v))
+            if index is not None:
+                if not index.etau or index.etau[-1] <= edge.tau:
+                    index.eu.append(edge.u)
+                    index.ev.append(edge.v)
+                    index.etau.append(edge.tau)
+                    index.ecap.append(edge.capacity)
+                else:
+                    self._index = None
             self._out_adj[edge.u].setdefault(edge.tau, []).append(edge.v)
             self._out_stamps[edge.u].append(edge.tau)
             self._in_stamps[edge.v].append(edge.tau)
@@ -146,12 +194,35 @@ class TemporalFlowNetwork:
         for stamps in self._in_stamps.values():
             stamps.sort()
             _dedupe_sorted(stamps)
-        self._timestamps = sorted(self._edges_at)
+        if self._index is None:
+            self._rebuild_edge_index()
+        # The index is sorted by stamp, so dropping repeats keeps T sorted.
+        self._timestamps = list(dict.fromkeys(self._index.etau))
         self._rebuild_in_prefix()
         self._stamps_dirty = False
 
+    def _rebuild_edge_index(self) -> None:
+        """Rebuild the columnar edge index from the capacity map.
+
+        The map keeps first-insertion order and the sort by stamp is
+        stable, so edges sharing a stamp keep their insertion order.
+        """
+        index = EdgeIndex()
+        eu_append = index.eu.append
+        ev_append = index.ev.append
+        etau_append = index.etau.append
+        ecap_append = index.ecap.append
+        for (u, v, tau), capacity in sorted(
+            self._capacity.items(), key=lambda item: item[0][2]
+        ):
+            eu_append(u)
+            ev_append(v)
+            etau_append(tau)
+            ecap_append(capacity)
+        self._index = index
+
     def _rebuild_in_prefix(self) -> None:
-        """Recompute the per-node in-capacity prefix sums.
+        """Recompute the per-node in-capacity prefix sums and in-degrees.
 
         One pass over the capacity map groups in-capacity per (node, tau);
         the prefix arrays then let :meth:`sink_capacity_in_window` answer
@@ -159,9 +230,12 @@ class TemporalFlowNetwork:
         in-stamp (the BFQ+/BFQ* inner-loop hot path).
         """
         per_node: dict[NodeId, dict[Timestamp, float]] = defaultdict(dict)
+        in_deg: dict[NodeId, int] = defaultdict(int)
         for (_, v, tau), capacity in self._capacity.items():
             stamps = per_node[v]
             stamps[tau] = stamps.get(tau, 0.0) + capacity
+            in_deg[v] += 1
+        self._in_deg = dict(in_deg)
         prefix: dict[NodeId, list[float]] = {}
         for v, per_tau in per_node.items():
             sums = [0.0]
@@ -228,20 +302,31 @@ class TemporalFlowNetwork:
         for (u, v, tau), capacity in self._capacity.items():
             yield TemporalEdge(u, v, tau, capacity)
 
+    @property
+    def edge_index(self) -> EdgeIndex:
+        """The columnar edge index (rebuilt first if an append dropped it).
+
+        Appends at or after the last stamp extend the returned object in
+        place; an out-of-order append makes the next read return a new one.
+        """
+        self._refresh_indexes()
+        return self._index
+
     def edges_in_window(
         self, tau_lo: Timestamp, tau_hi: Timestamp
     ) -> Iterator[TemporalEdge]:
         """Iterate edges with timestamps in the inclusive window.
 
-        Iteration is ordered by timestamp, which the network transformation
-        relies on for deterministic construction.
+        Iteration follows the edge index (by timestamp, insertion order
+        within one), which the network transformation relies on for
+        deterministic construction.
         """
-        self._refresh_indexes()
-        lo = bisect.bisect_left(self._timestamps, tau_lo)
-        hi = bisect.bisect_right(self._timestamps, tau_hi)
-        for tau in self._timestamps[lo:hi]:
-            for u, v in self._edges_at[tau]:
-                yield TemporalEdge(u, v, tau, self._capacity[(u, v, tau)])
+        index = self.edge_index
+        etau = index.etau
+        for p in range(
+            bisect.bisect_left(etau, tau_lo), bisect.bisect_right(etau, tau_hi)
+        ):
+            yield TemporalEdge(index.eu[p], index.ev[p], etau[p], index.ecap[p])
 
     def out_neighbours(self, u: NodeId, tau: Timestamp) -> Sequence[NodeId]:
         """Nodes ``v`` with an edge ``(u, v, tau)``."""
@@ -311,27 +396,16 @@ class TemporalFlowNetwork:
     def degree(self, u: NodeId) -> int:
         """Total number of distinct temporal edges incident to ``u``."""
         self._require_node(u)
+        self._refresh_indexes()
         out_deg = sum(len(vs) for vs in self._out_adj.get(u, {}).values())
-        return out_deg + self._in_degree_cache().get(u, 0)
-
-    def _in_degree_cache(self) -> dict[NodeId, int]:
-        if self._stamps_dirty:
-            self._refresh_indexes()
-            self._in_deg = None
-        cache = getattr(self, "_in_deg", None)
-        if cache is None:
-            counts: dict[NodeId, int] = defaultdict(int)
-            for (_, v, __) in self._capacity:
-                counts[v] += 1
-            self._in_deg = dict(counts)
-            cache = self._in_deg
-        return cache
+        return out_deg + self._in_deg.get(u, 0)
 
     def max_degree(self) -> int:
         """``d_max`` — the maximum total degree over all nodes."""
         if not self._nodes:
             return 0
-        in_deg = self._in_degree_cache()
+        self._refresh_indexes()
+        in_deg = self._in_deg
         best = 0
         for node in self._nodes:
             out_deg = sum(len(vs) for vs in self._out_adj.get(node, {}).values())
@@ -378,17 +452,12 @@ class TemporalFlowNetwork:
     def _sink_capacity_in_window_scan(
         self, sink: NodeId, tau_lo: Timestamp, tau_hi: Timestamp
     ) -> float:
-        """Reference O(edges-at-tau) implementation, kept for equality tests."""
+        """Reference O(edges-in-window) scan, kept for equality tests."""
         self._require_node(sink)
-        self._refresh_indexes()
-        stamps = self._in_stamps.get(sink, [])
-        lo = bisect.bisect_left(stamps, tau_lo)
-        hi = bisect.bisect_right(stamps, tau_hi)
         total = 0.0
-        for tau in stamps[lo:hi]:
-            for u, v in self._edges_at[tau]:
-                if v == sink:
-                    total += self._capacity[(u, v, tau)]
+        for edge in self.edges_in_window(tau_lo, tau_hi):
+            if edge.v == sink:
+                total += edge.capacity
         return total
 
     def __contains__(self, node: NodeId) -> bool:

@@ -1,8 +1,9 @@
 """Differential tests for the transform compiler (``core/skeleton.py``).
 
-The skeleton path must be *indistinguishable* from the object-graph
-transform: same node set, same Maxflow value, certificates that hold, and
-identical end-to-end answers from every algorithm under both transforms.
+The skeleton path must be *indistinguishable* from the per-window
+object-graph transform: same node set, same Maxflow value, certificates
+that hold, and end-to-end answers identical to the oracle's per-window
+reference BFQ — also after the network grows under a compiled skeleton.
 """
 
 from __future__ import annotations
@@ -16,16 +17,13 @@ from hypothesis import strategies as st
 from repro import BurstingFlowQuery, bfq, bfq_plus, bfq_star, find_bursting_flow
 from repro.core import enumerate_candidates
 from repro.core.bfq_plus import bfq_plus as bfq_plus_direct
-from repro.core.skeleton import (
-    DEFAULT_TRANSFORM,
-    KNOWN_TRANSFORMS,
-    WindowSkeleton,
-    validate_transform,
-)
+from repro.core.incremental import IncrementalTransformedNetwork
+from repro.core.skeleton import WindowSkeleton
 from repro.core.transform import build_transformed_network, reachable_edges
 from repro.exceptions import GraphError, InvalidIntervalError
 from repro.flownet import dinic
 from repro.flownet.mincut import certify_maxflow
+from repro.oracle.runner import BACKENDS
 from repro.temporal import TemporalEdge, TemporalFlowNetwork
 
 TOLERANCE = 1e-9
@@ -52,20 +50,6 @@ def random_network(seed: int, nodes: int = 6, edges: int = 20, horizon: int = 12
 def candidate_windows(network, source="n0", sink="n1", delta=2):
     plan = enumerate_candidates(network, source, sink, delta)
     return list(plan.intervals())
-
-
-class TestValidateTransform:
-    def test_known_names(self):
-        assert validate_transform("skeleton") == "skeleton"
-        assert validate_transform("object") == "object"
-        assert validate_transform("SKELETON") == "skeleton"
-
-    def test_unknown_name_raises(self):
-        with pytest.raises(ValueError, match="unknown transform"):
-            validate_transform("quantum")
-
-    def test_default_is_known(self):
-        assert DEFAULT_TRANSFORM in KNOWN_TRANSFORMS
 
 
 class TestWindowEquality:
@@ -154,16 +138,112 @@ class TestLazySweep:
             skeleton.materialize(network.t_min, network.t_max)
 
 
+def assert_window_matches(skeleton, network, tau_s, tau_e):
+    """materialize() equals a from-scratch transform of the current network."""
+    window = skeleton.materialize(tau_s, tau_e)
+    reference = build_transformed_network(network, "n0", "n1", tau_s, tau_e)
+    assert window.num_nodes == reference.num_nodes
+    assert window.num_edges == reference.num_edges
+    ref_value = dinic(
+        reference.flow_network, reference.source_index, reference.sink_index
+    ).value
+    assert abs(window.maxflow().value - ref_value) < TOLERANCE
+
+
+class TestFollowsAppends:
+    """A compiled skeleton serves the grown network until a served stamp
+    group gains an edge or the network rebuilds its edge index."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_serves_windows_reaching_new_stamps(self, seed):
+        network = random_network(seed)
+        skeleton = WindowSkeleton(network, "n0", "n1")
+        t_min, t_max = network.t_min, network.t_max
+        for tau_s, tau_e in candidate_windows(network):
+            skeleton.materialize(tau_s, tau_e)
+        skeleton.materialize(t_min, t_max)
+        new = t_max + 2
+        # Several new edges at one new stamp, then a capacity merge at it.
+        for u, v, capacity in [
+            ("n0", "n2", 4.0),
+            ("n2", "n1", 3.0),
+            ("n3", "n1", 5.0),
+            ("n0", "n1", 2.0),
+            ("n2", "n1", 6.0),
+        ]:
+            network.add_edge(TemporalEdge(u, v, new, capacity))
+        for tau_s in sorted({t_min, *network.tistamp_out("n0")}):
+            assert_window_matches(skeleton, network, tau_s, new)
+        assert_window_matches(skeleton, network, t_min, t_max)
+
+    def test_capacity_merge_in_served_group_keeps_serving(self):
+        network = random_network(3)
+        skeleton = WindowSkeleton(network, "n0", "n1")
+        t_min, t_max = network.t_min, network.t_max
+        assert_window_matches(skeleton, network, t_min, t_max)
+        edge = next(network.edges_in_window(t_min, t_max))
+        network.add_edge(TemporalEdge(edge.u, edge.v, edge.tau, 7.0))
+        assert_window_matches(skeleton, network, t_min, t_max)
+
+    def test_incremental_state_follows_appends(self):
+        network = random_network(4)
+        skeleton = WindowSkeleton(network, "n0", "n1")
+        t_min, t_max = network.t_min, network.t_max
+        state = IncrementalTransformedNetwork(
+            network, "n0", "n1", t_min, t_max, skeleton=skeleton
+        )
+        state.run_maxflow()
+        network.add_edge(TemporalEdge("n0", "n2", t_max + 1, 4.0))
+        network.add_edge(TemporalEdge("n2", "n1", t_max + 1, 3.0))
+        state.extend_end(t_max + 1)
+        state.run_maxflow()
+        reference = build_transformed_network(network, "n0", "n1", t_min, t_max + 1)
+        ref_value = dinic(
+            reference.flow_network, reference.source_index, reference.sink_index
+        ).value
+        assert abs(state.flow_value() - ref_value) < TOLERANCE
+
+    def test_new_edge_in_served_group_raises(self):
+        network = random_network(1)
+        skeleton = WindowSkeleton(network, "n0", "n1")
+        t_max = network.t_max
+        skeleton.materialize(network.t_min, t_max)
+        network.add_edge(TemporalEdge("n4", "n5", t_max, 1.0))
+        with pytest.raises(GraphError, match="mutated after skeleton compile"):
+            skeleton.materialize(network.t_min, t_max + 1)
+
+    def test_new_edge_past_served_but_in_swept_group_raises(self):
+        network = random_network(1)
+        skeleton = WindowSkeleton(network, "n0", "n1")
+        t_max = network.t_max
+        # A window ending past the horizon has served every stamp up to it.
+        skeleton.materialize(network.t_min, t_max + 3)
+        network.add_edge(TemporalEdge("n0", "n1", t_max + 2, 1.0))
+        with pytest.raises(GraphError, match="mutated after skeleton compile"):
+            skeleton.materialize(network.t_min, t_max + 3)
+
+    def test_out_of_order_edge_raises(self):
+        network = random_network(2)
+        skeleton = WindowSkeleton(network, "n0", "n1")
+        t_min, t_max = network.t_min, network.t_max
+        skeleton.materialize(t_min, t_min)
+        # Above every served stamp but below the last one: the network
+        # rebuilds its edge index, and the skeleton refuses to serve.
+        network.add_edge(TemporalEdge("n4", "n5", t_max - 1, 1.0))
+        with pytest.raises(GraphError, match="mutated after skeleton compile"):
+            skeleton.materialize(t_min, t_max)
+
+
 class TestAlgorithmEquality:
-    """End-to-end: every algorithm agrees across both transforms."""
+    """End-to-end: every algorithm agrees with the per-window reference."""
 
     @pytest.mark.parametrize("seed", range(10))
     @pytest.mark.parametrize("algorithm", [bfq, bfq_plus, bfq_star])
     def test_skeleton_matches_object(self, seed, algorithm):
         network = random_network(seed, edges=25)
         query = BurstingFlowQuery("n0", "n1", 2)
-        with_skeleton = algorithm(network, query, transform="skeleton")
-        with_object = algorithm(network, query, transform="object")
+        with_skeleton = algorithm(network, query)
+        with_object = BACKENDS["bfq"](network, query)
         assert abs(with_skeleton.density - with_object.density) < TOLERANCE
         assert with_skeleton.interval == with_object.interval
         assert abs(with_skeleton.flow_value - with_object.flow_value) < TOLERANCE
@@ -172,10 +252,8 @@ class TestAlgorithmEquality:
     def test_skeleton_without_pruning_matches(self, seed):
         network = random_network(seed + 100)
         query = BurstingFlowQuery("n0", "n1", 3)
-        pruned = bfq_plus_direct(network, query, transform="skeleton")
-        unpruned = bfq_plus_direct(
-            network, query, transform="skeleton", use_pruning=False
-        )
+        pruned = bfq_plus_direct(network, query)
+        unpruned = bfq_plus_direct(network, query, use_pruning=False)
         assert abs(pruned.density - unpruned.density) < TOLERANCE
         assert pruned.interval == unpruned.interval
 
@@ -187,33 +265,14 @@ class TestAlgorithmEquality:
     def test_property_skeleton_matches_object(self, seed, delta):
         network = random_network(seed, nodes=5, edges=16, horizon=8)
         query = BurstingFlowQuery("n0", "n1", delta)
+        with_object = BACKENDS["bfq"](network, query)
         for algorithm in (bfq, bfq_plus, bfq_star):
-            with_skeleton = algorithm(network, query, transform="skeleton")
-            with_object = algorithm(network, query, transform="object")
+            with_skeleton = algorithm(network, query)
             assert abs(with_skeleton.density - with_object.density) < TOLERANCE
             assert with_skeleton.interval == with_object.interval
 
 
 class TestEngineDispatch:
-    def test_transform_forwarded(self, burst_network):
-        query = BurstingFlowQuery("s", "t", 2)
-        for transform in KNOWN_TRANSFORMS:
-            result = find_bursting_flow(
-                burst_network, query, algorithm="bfq", transform=transform
-            )
-            assert result.found
-
-    def test_transform_rejected_for_baselines(self, burst_network):
-        from repro.exceptions import InvalidQueryError
-
-        with pytest.raises(InvalidQueryError, match="transform"):
-            find_bursting_flow(
-                burst_network,
-                BurstingFlowQuery("s", "t", 2),
-                algorithm="naive",
-                transform="skeleton",
-            )
-
     def test_parallel_windows_rejected_for_incremental(self, burst_network):
         from repro.exceptions import InvalidQueryError
 

@@ -117,6 +117,52 @@ class TestDegrees:
         assert small.degree("t") == 4
 
 
+    def test_degree_after_append_and_refresh(self):
+        network = TemporalFlowNetwork.from_tuples([("a", "b", 1, 1.0)])
+        assert network.degree("b") == 1
+        network.add_edge(TemporalEdge("c", "b", 2, 1.0))
+        _ = network.t_max  # refreshes the indexes before the degree read
+        assert network.degree("b") == 2
+        assert network.max_degree() == 2
+
+
+def index_rows(network: TemporalFlowNetwork) -> list[tuple]:
+    index = network.edge_index
+    return list(zip(index.eu, index.ev, index.etau, index.ecap))
+
+
+def window_rows(network: TemporalFlowNetwork) -> list[tuple]:
+    return [
+        (e.u, e.v, e.tau, e.capacity)
+        for e in network.edges_in_window(network.t_min, network.t_max)
+    ]
+
+
+class TestEdgeIndex:
+    def test_matches_edges_in_window(self, small):
+        assert index_rows(small) == window_rows(small)
+
+    def test_append_at_or_after_last_stamp_extends_in_place(self, small):
+        index = small.edge_index
+        small.add_edge(TemporalEdge("t", "a", 5, 2.0))
+        small.add_edge(TemporalEdge("a", "s", 9, 1.0))
+        assert small.edge_index is index
+        assert index_rows(small) == window_rows(small)
+
+    def test_capacity_merge_patches_in_place(self, small):
+        index = small.edge_index
+        small.add_edge(TemporalEdge("s", "t", 3, 4.0))
+        assert small.edge_index is index
+        assert index_rows(small) == window_rows(small)
+        assert small.capacity("s", "t", 3) == 5.0
+
+    def test_out_of_order_append_rebuilds(self, small):
+        index = small.edge_index
+        small.add_edge(TemporalEdge("t", "s", 2, 1.0))
+        assert small.edge_index is not index
+        assert index_rows(small) == window_rows(small)
+
+
 class TestWindowedAccess:
     def test_edges_in_window_is_time_ordered(self, small):
         taus = [edge.tau for edge in small.edges_in_window(1, 5)]

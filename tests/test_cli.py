@@ -69,6 +69,21 @@ class TestQuery:
         assert code == 1
         assert "no bursting flow" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["query", "--source", "s", "--sink", "t", "--delta", "2"],
+            ["scan", "--sources", "s", "--sinks", "t"],
+        ],
+        ids=["query", "scan"],
+    )
+    def test_transform_flag_is_a_usage_error(self, edges_csv, capsys, command):
+        argv = [command[0], str(edges_csv), *command[1:], "--transform", "object"]
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --transform" in capsys.readouterr().err
+
     def test_bad_query_reports_error(self, edges_csv, capsys):
         code = main(
             [
